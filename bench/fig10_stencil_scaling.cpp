@@ -5,13 +5,23 @@
 // Paper shape: similar single-node performance; in multi-node runs the
 // MPI-CUDA scaling cost roughly equals the halo exchange time while dCUDA
 // overlaps it completely (perfect load balance).
+//
+// --window-stats prints the parallel engine's window telemetry of the
+// 8-node dCUDA run to stderr as one JSON line (docs/OBSERVABILITY.md).
+
+#include <cstring>
 
 #include "apps/stencil.h"
 #include "bench/common.h"
+#include "bench/window_stats.h"
 
 int main(int argc, char** argv) {
   using namespace dcuda;
   bench::trace_sink().parse_args(argc, argv);
+  bool window_stats = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--window-stats") == 0) window_stats = true;
+  }
   bench::header("Figure 10", "weak scaling of the stencil program");
   apps::stencil::Config cfg;
   cfg.iterations = bench::iterations(20);
@@ -27,6 +37,11 @@ int main(int argc, char** argv) {
       if (trace) c.tracer().enable();
       d = apps::stencil::run_dcuda(c, cfg);
       if (trace) bench::trace_sink().add("dCUDA 8 nodes", c.tracer());
+      if (window_stats && nodes == 8) {
+        std::fprintf(stderr, "window_stats ");
+        bench::print_window_stats(stderr, c.sim().window_stats());
+        std::fprintf(stderr, "\n");
+      }
     }
     {
       Cluster c({.machine = bench::machine(nodes)});

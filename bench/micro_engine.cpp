@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
+#include "bench/window_stats.h"
 #include "sim/channel.h"
 #include "sim/env_config.h"
 #include "sim/proc.h"
@@ -34,6 +36,8 @@ struct Result {
   const char* name;
   std::uint64_t events = 0;
   double seconds = 0.0;
+  // Sharded scenarios: window telemetry of the last repetition.
+  std::optional<sim::Simulation::WindowStats> windows = std::nullopt;
   double events_per_sec() const { return seconds > 0 ? events / seconds : 0.0; }
 };
 
@@ -193,7 +197,8 @@ std::uint64_t fifo_contention(int users) {
 // chosen so a window covers ~20 events per shard (fabric-heavy workloads
 // sit in that range); a sparse horizon would measure empty window rounds
 // instead of event dispatch.
-std::uint64_t sharded_churn(int shards, int per_shard, int threads) {
+std::uint64_t sharded_churn(int shards, int per_shard, int threads,
+                            sim::Simulation::WindowStats* stats) {
   sim::Simulation s;
   s.configure_shards(shards);
   s.register_lookahead(kWireLat);
@@ -208,13 +213,15 @@ std::uint64_t sharded_churn(int shards, int per_shard, int threads) {
     }
   }
   s.run();
+  *stats = s.window_stats();
   return s.events_processed();
 }
 
 // Sharded engine, cross-shard staging/merge path: messengers hop around a
 // ring of shards, each hop delayed by exactly the lookahead — every event
 // crosses a shard boundary, the worst case for the window protocol.
-std::uint64_t cross_shard(int shards, int msgs, int rounds, int threads) {
+std::uint64_t cross_shard(int shards, int msgs, int rounds, int threads,
+                          sim::Simulation::WindowStats* stats) {
   sim::Simulation s;
   s.configure_shards(shards);
   s.register_lookahead(kWireLat);
@@ -237,6 +244,7 @@ std::uint64_t cross_shard(int shards, int msgs, int rounds, int threads) {
     });
   }
   s.run();
+  *stats = s.window_stats();
   return s.events_processed();
 }
 
@@ -269,10 +277,15 @@ int main() {
   results.push_back(scenario("fifo_contention", 4 * k, [] { return fifo_contention(8192); }));
   results.push_back(scenario("channel_stream", 4 * k, [] { return channel_stream(32768); }));
   const int nt = engine_threads();
-  results.push_back(scenario("sharded_churn", 2 * k,
-                             [nt] { return sharded_churn(8, 1 << 14, nt); }));
-  results.push_back(scenario("cross_shard", 2 * k,
-                             [nt] { return cross_shard(8, 64, 4096, nt); }));
+  sim::Simulation::WindowStats ws;
+  results.push_back(scenario("sharded_churn", 2 * k, [nt, &ws] {
+    return sharded_churn(8, 1 << 14, nt, &ws);
+  }));
+  results.back().windows = ws;
+  results.push_back(scenario("cross_shard", 2 * k, [nt, &ws] {
+    return cross_shard(8, 64, 4096, nt, &ws);
+  }));
+  results.back().windows = ws;
 
   std::uint64_t total_events = 0;
   double total_seconds = 0.0;
@@ -282,9 +295,13 @@ int main() {
     total_events += r.events;
     total_seconds += r.seconds;
     std::printf("    \"%s\": {\"events\": %" PRIu64
-                ", \"seconds\": %.6f, \"events_per_sec\": %.0f}%s\n",
-                r.name, r.events, r.seconds, r.events_per_sec(),
-                i + 1 < results.size() ? "," : "");
+                ", \"seconds\": %.6f, \"events_per_sec\": %.0f",
+                r.name, r.events, r.seconds, r.events_per_sec());
+    if (r.windows) {
+      std::printf(", \"window_stats\": ");
+      bench::print_window_stats(stdout, *r.windows);
+    }
+    std::printf("}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::printf("  },\n");
   std::printf("  \"total_events\": %" PRIu64 ",\n", total_events);

@@ -23,10 +23,14 @@
 # The parallel-engine lane (docs/PERF.md, "Parallel engine") runs the
 # sharded micro_engine scenarios and the fig10 figure bench twice — with
 # one worker thread and with DCUDA_BENCH_THREADS workers — and records the
-# wall-clock speedup under "parallel". The >= 2x speedup acceptance bar is
-# enforced only when the machine has at least 4 cores; on smaller hosts the
-# record says so and the gate is skipped (a 1-core container cannot exhibit
-# parallel speedup, only protocol overhead).
+# wall-clock speedup under "parallel", together with the engine's window
+# telemetry (Simulation::window_stats: windows, busy shard-windows, events
+# per window, barrier wait per worker) of every run. The >= 2x speedup
+# acceptance bar is enforced only when the machine has at least 4 cores; on
+# smaller hosts the record says so and the gate is skipped (a 1-core
+# container cannot exhibit parallel speedup, only protocol overhead). A
+# failed gate is recorded in BENCH_engine.json and fails the script after
+# every record has been written.
 #
 # Usage: scripts/bench_perf.sh [build-dir] [out.json] [baseline.json]
 #   build-dir     defaults to ./build
@@ -73,43 +77,58 @@ PAR="${DCUDA_BENCH_THREADS:-$(( CORES < 8 ? CORES : 8 ))}"
 echo "== micro_engine (wall clock, $PAR worker threads; $CORES cores) ==" >&2
 micro_par_json="$(DCUDA_THREADS="$PAR" "$BUILD/bench/micro_engine")"
 
-wall() {  # wall <binary> [env...] — prints elapsed seconds
-  local t0 t1
+stats_err="$(mktemp)"
+trap 'rm -f "$stats_err"' EXIT
+fig10() {  # fig10 <threads> — prints {seconds, window_stats} of one run
+  local t0 t1 sec
   t0="$(date +%s.%N)"
-  "$@" > /dev/null
+  DCUDA_THREADS="$1" "$BUILD/bench/fig10_stencil_scaling" --window-stats \
+      > /dev/null 2> "$stats_err"
   t1="$(date +%s.%N)"
-  awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", b - a }'
+  sec="$(awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", b - a }')"
+  # null when the binary predates --window-stats (baseline builds)
+  local ws
+  ws="$(sed -n 's/^window_stats //p' "$stats_err")"
+  jq -n --argjson s "$sec" --argjson w "${ws:-null}" \
+      '{seconds: $s, window_stats: $w}'
 }
 echo "== fig10_stencil_scaling wall clock, 1 vs $PAR threads ==" >&2
-fig10_serial="$(wall env DCUDA_THREADS=1 "$BUILD/bench/fig10_stencil_scaling")"
-fig10_par="$(wall env DCUDA_THREADS="$PAR" "$BUILD/bench/fig10_stencil_scaling")"
-echo "   serial ${fig10_serial}s  parallel ${fig10_par}s" >&2
+fig10_serial="$(fig10 1)"
+fig10_par="$(fig10 "$PAR")"
+echo "   serial $(jq -r .seconds <<< "$fig10_serial")s  parallel $(jq -r .seconds <<< "$fig10_par")s" >&2
 
 parallel_json="$(jq -n \
   --argjson cores "$CORES" --argjson threads "$PAR" \
   --argjson serial "$micro_json" --argjson par "$micro_par_json" \
   --argjson f10s "$fig10_serial" --argjson f10p "$fig10_par" \
-  '{cores: $cores, worker_threads: $threads,
-    sharded_churn: {serial_events_per_sec: $serial.scenarios.sharded_churn.events_per_sec,
-                    parallel_events_per_sec: $par.scenarios.sharded_churn.events_per_sec,
-                    speedup: ($par.scenarios.sharded_churn.events_per_sec /
-                              $serial.scenarios.sharded_churn.events_per_sec)},
-    cross_shard: {serial_events_per_sec: $serial.scenarios.cross_shard.events_per_sec,
-                  parallel_events_per_sec: $par.scenarios.cross_shard.events_per_sec,
-                  speedup: ($par.scenarios.cross_shard.events_per_sec /
-                            $serial.scenarios.cross_shard.events_per_sec)},
-    fig10_stencil_scaling: {serial_seconds: $f10s, parallel_seconds: $f10p,
-                            speedup: ($f10s / $f10p)}}')"
+  'def lane($n): {serial_events_per_sec: $serial.scenarios[$n].events_per_sec,
+                  parallel_events_per_sec: $par.scenarios[$n].events_per_sec,
+                  speedup: ($par.scenarios[$n].events_per_sec /
+                            $serial.scenarios[$n].events_per_sec),
+                  serial_window_stats: $serial.scenarios[$n].window_stats,
+                  parallel_window_stats: $par.scenarios[$n].window_stats};
+   {cores: $cores, worker_threads: $threads,
+    sharded_churn: lane("sharded_churn"), cross_shard: lane("cross_shard"),
+    fig10_stencil_scaling: {serial_seconds: $f10s.seconds,
+                            parallel_seconds: $f10p.seconds,
+                            speedup: ($f10s.seconds / $f10p.seconds),
+                            serial_window_stats: $f10s.window_stats,
+                            parallel_window_stats: $f10p.window_stats}}')"
 
+gate_failed=0
 if [ "$CORES" -ge 4 ]; then
   pspeed="$(jq -r '.sharded_churn.speedup' <<< "$parallel_json")"
   ok="$(awk -v s="$pspeed" 'BEGIN { print (s >= 2.0) ? 1 : 0 }')"
   if [ "$ok" -ne 1 ]; then
     echo "FAIL: sharded_churn parallel speedup ${pspeed}x < 2x at $PAR threads" >&2
-    exit 1
+    gate_failed=1
+    parallel_json="$(jq --arg s "$pspeed" \
+      '. + {gate: ("enforced (>= 2x sharded_churn): FAILED at " + $s + "x")}' \
+      <<< "$parallel_json")"
+  else
+    echo "   parallel speedup ${pspeed}x (bar: 2x at >= 4 cores)" >&2
+    parallel_json="$(jq '. + {gate: "enforced (>= 2x sharded_churn)"}' <<< "$parallel_json")"
   fi
-  echo "   parallel speedup ${pspeed}x (bar: 2x at >= 4 cores)" >&2
-  parallel_json="$(jq '. + {gate: "enforced (>= 2x sharded_churn)"}' <<< "$parallel_json")"
 else
   echo "   $CORES core(s): 2x speedup gate skipped (needs >= 4 cores)" >&2
   parallel_json="$(jq '. + {gate: "skipped: fewer than 4 cores"}' <<< "$parallel_json")"
@@ -260,4 +279,9 @@ if [ -x "$BUILD/bench/cluster_traffic" ]; then
   echo "   backfill/fifo utilization ${ratio}x (bar: 1.15x)" >&2
 else
   echo "warning: $BUILD/bench/cluster_traffic not built, skipping BENCH_cluster.json" >&2
+fi
+
+if [ "$gate_failed" -ne 0 ]; then
+  echo "FAIL: parallel-engine gate (see .parallel.gate in $OUT)" >&2
+  exit 1
 fi

@@ -17,6 +17,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <memory_resource>
 #include <optional>
 #include <string>
 #include <utility>
@@ -43,29 +44,49 @@ struct Transport {
 // A zero-cost transport for queues whose both ends live in the same memory.
 Transport local_transport(sim::Simulation& s);
 
+// Tracer names of one queue kind (`<base>_depth`, `<base>_enqueues`,
+// `<base>_tail_reads`). Built once per kind and shared by every queue of
+// that kind, so tracing hooks cost no per-queue strings.
+struct TraceNames {
+  explicit TraceNames(const std::string& base)
+      : depth(base + "_depth"),
+        enqueues(base + "_enqueues"),
+        tail_reads(base + "_tail_reads") {}
+  std::string depth;
+  std::string enqueues;
+  std::string tail_reads;
+};
+
 template <typename Entry>
 class CircularQueue {
  public:
-  CircularQueue(sim::Simulation& s, int capacity, Transport transport)
+  // The ring is allocated from `ring_memory`; owners of many queues pass
+  // one arena so their rings share an allocation (see ring_bytes).
+  CircularQueue(sim::Simulation& s, int capacity, Transport transport,
+                std::pmr::memory_resource* ring_memory =
+                    std::pmr::new_delete_resource())
       : sim_(s),
         transport_(std::move(transport)),
-        ring_(static_cast<size_t>(capacity)),
+        ring_(static_cast<size_t>(capacity), ring_memory),
         credits_(capacity),
         nonempty_(s) {
     assert(capacity > 0);
   }
 
+  // Bytes a ring of `capacity` entries takes from its memory resource.
+  static constexpr std::size_t ring_bytes(int capacity) {
+    return static_cast<std::size_t>(capacity) * sizeof(Slot);
+  }
+
   // Observability hook (docs/OBSERVABILITY.md): enqueue commits and
   // dequeues maintain the device-wide `<name>_depth` counter and bump
   // `<name>_enqueues` / `<name>_tail_reads` metrics on the tracer. Many
-  // queues may share one (tracer, device, name) triple — the counter then
-  // aggregates their occupancy.
-  void set_tracer(sim::Tracer* t, std::int32_t device, const std::string& name) {
+  // queues may share one (tracer, device, names) triple — the counter then
+  // aggregates their occupancy. `names` must outlive the queue.
+  void set_tracer(sim::Tracer* t, std::int32_t device, const TraceNames& names) {
     tracer_ = t;
     trace_device_ = device;
-    depth_counter_ = name + "_depth";
-    enqueue_metric_ = name + "_enqueues";
-    tail_read_metric_ = name + "_tail_reads";
+    names_ = &names;
   }
 
   // Sender side. Blocks (simulated) while the queue is full; costs one
@@ -73,7 +94,7 @@ class CircularQueue {
   sim::Proc<void> enqueue(Entry e) {
     while (credits_ == 0) {
       ++tail_reads_;
-      if (traced()) tracer_->bump(tail_read_metric_);
+      if (traced()) tracer_->bump(names_->tail_reads);
       co_await transport_.read_tail(sizeof(std::uint64_t));
       recompute_credits();
       if (credits_ == 0) co_await sim_.delay(full_poll_interval_);
@@ -84,7 +105,7 @@ class CircularQueue {
       obs->queue_credit(send_count_, recv_count_, capacity());
     }
     ++enqueues_;
-    if (traced()) tracer_->bump(enqueue_metric_);
+    if (traced()) tracer_->bump(names_->enqueues);
     // Stage the entry into its ring slot right away: holding a credit means
     // the receiver already consumed the slot's previous occupant, and the
     // entry stays invisible until the sequence number is committed below.
@@ -101,7 +122,7 @@ class CircularQueue {
           Slot& slot = ring_[static_cast<size_t>((seq - 1) % ring_.size())];
           slot.seq = seq;
           if (traced()) {
-            tracer_->counter_add(sim_.now(), trace_device_, depth_counter_, 1.0);
+            tracer_->counter_add(sim_.now(), trace_device_, names_->depth, 1.0);
           }
           nonempty_.notify_all();
         });
@@ -118,7 +139,7 @@ class CircularQueue {
     while (next < es.size()) {
       while (credits_ == 0) {
         ++tail_reads_;
-        if (traced()) tracer_->bump(tail_read_metric_);
+        if (traced()) tracer_->bump(names_->tail_reads);
         co_await transport_.read_tail(sizeof(std::uint64_t));
         recompute_credits();
         if (credits_ == 0) co_await sim_.delay(full_poll_interval_);
@@ -134,7 +155,7 @@ class CircularQueue {
         obs->queue_credit(send_count_, recv_count_, capacity());
       }
       enqueues_ += chunk;
-      if (traced()) tracer_->bump(enqueue_metric_, static_cast<double>(chunk));
+      if (traced()) tracer_->bump(names_->enqueues, static_cast<double>(chunk));
       for (std::uint64_t i = 0; i < chunk; ++i) {
         Slot& slot =
             ring_[static_cast<size_t>((first_seq + i - 1) % ring_.size())];
@@ -158,7 +179,7 @@ class CircularQueue {
                   first + i;
             }
             if (traced()) {
-              tracer_->counter_add(sim_.now(), trace_device_, depth_counter_,
+              tracer_->counter_add(sim_.now(), trace_device_, names_->depth,
                                    static_cast<double>(n));
             }
             nonempty_.notify_all();
@@ -176,7 +197,7 @@ class CircularQueue {
       obs->queue_credit(send_count_, recv_count_, capacity());
     }
     if (traced()) {
-      tracer_->counter_add(sim_.now(), trace_device_, depth_counter_, -1.0);
+      tracer_->counter_add(sim_.now(), trace_device_, names_->depth, -1.0);
     }
     return slot.entry;
   }
@@ -218,13 +239,11 @@ class CircularQueue {
 
   sim::Tracer* tracer_ = nullptr;
   std::int32_t trace_device_ = -1;
-  std::string depth_counter_;
-  std::string enqueue_metric_;
-  std::string tail_read_metric_;
+  const TraceNames* names_ = nullptr;
 
   sim::Simulation& sim_;
   Transport transport_;
-  std::vector<Slot> ring_;
+  std::pmr::vector<Slot> ring_;
   std::uint64_t send_count_ = 0;  // sender-side
   std::uint64_t recv_count_ = 0;  // receiver-side tail
   int credits_;

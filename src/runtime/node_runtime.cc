@@ -20,6 +20,12 @@ std::int32_t global_win_id(int job_tag, Comm comm, std::int32_t seq) {
   return (static_cast<std::int32_t>(job_tag) << 22) |
          (static_cast<std::int32_t>(comm) << 20) | seq;
 }
+
+// Tracer names of the runtime's queues, shared by every rank and node.
+const queue::TraceNames kCmdQueueNames("cmd_queue");
+const queue::TraceNames kAckQueueNames("ack_queue");
+const queue::TraceNames kNotifQueueNames("notif_queue");
+const queue::TraceNames kLogQueueNames("log_queue");
 }  // namespace
 
 queue::Transport NodeRuntime::pcie_transport(pcie::Dir write_dir) {
@@ -77,13 +83,11 @@ NodeRuntime::NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep
         host ? queue::local_transport(s) : pcie_transport(pcie::Dir::kHostToDevice),
         host ? queue::local_transport(s) : pcie_transport(pcie::Dir::kHostToDevice),
         cfg.runtime));
-    host_flush_trigs_.push_back(std::make_unique<sim::Trigger>(s));
-    ranks_.back()->host_flush_trig = host_flush_trigs_.back().get();
     if (sim::Tracer* tr = dev.tracer()) {
       // All ranks of the node share the per-device depth counters.
-      ranks_.back()->cmd_q.set_tracer(tr, phys_node(), "cmd_queue");
-      ranks_.back()->ack_q.set_tracer(tr, phys_node(), "ack_queue");
-      ranks_.back()->notif_q.set_tracer(tr, phys_node(), "notif_queue");
+      ranks_.back()->cmd_q.set_tracer(tr, phys_node(), kCmdQueueNames);
+      ranks_.back()->ack_q.set_tracer(tr, phys_node(), kAckQueueNames);
+      ranks_.back()->notif_q.set_tracer(tr, phys_node(), kNotifQueueNames);
     }
     s.spawn(command_loop(r),
             "bm@" + std::to_string(phys_node()) + "/" + std::to_string(r),
@@ -92,7 +96,7 @@ NodeRuntime::NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep
   log_q_ = std::make_unique<queue::CircularQueue<LogEntry>>(
       s, cfg.runtime.logging_queue_entries, pcie_transport(pcie::Dir::kDeviceToHost));
   if (sim::Tracer* tr = dev.tracer()) {
-    log_q_->set_tracer(tr, phys_node(), "log_queue");
+    log_q_->set_tracer(tr, phys_node(), kLogQueueNames);
   }
   s.spawn(meta_loop(), "event-handler@" + std::to_string(phys_node()),
           /*daemon=*/true);
@@ -442,7 +446,7 @@ sim::Proc<void> NodeRuntime::handle_barrier(int local_rank, Command c) {
 sim::Proc<void> NodeRuntime::handle_finish(int local_rank, Command c) {
   RankState& rs = rank(local_rank);
   // Drain: wait until every issued remote memory access completed.
-  while (rs.flush_frontier < c.flush_id) co_await rs.host_flush_trig->wait();
+  while (rs.flush_frontier < c.flush_id) co_await rs.host_flush_trig.wait();
   Ack a;
   a.kind = AckKind::kFinished;
   co_await rs.ack_q.enqueue(a);
@@ -842,7 +846,7 @@ sim::Proc<void> NodeRuntime::complete_flush(RankState& rs, std::uint64_t id,
     ++rs.flush_frontier;
     advanced = true;
   }
-  if (advanced) rs.host_flush_trig->notify_all();
+  if (advanced) rs.host_flush_trig.notify_all();
 
   // One posted write carries both the per-window completion count (the
   // paper's window flush) and, when it advanced, the contiguous frontier.

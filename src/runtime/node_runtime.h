@@ -19,6 +19,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -46,14 +47,24 @@ struct RankState {
             const sim::RuntimeConfig& rc)
       : global_rank(global),
         local_rank(local),
-        cmd_q(s, rc.command_queue_entries, std::move(cmd_t)),
-        ack_q(s, rc.ack_queue_entries, std::move(ack_t)),
-        notif_q(s, rc.notification_queue_entries, std::move(notif_t)),
-        flush_trig(s) {}
+        rings(ring_bytes(rc)),
+        cmd_q(s, rc.command_queue_entries, std::move(cmd_t), &rings),
+        ack_q(s, rc.ack_queue_entries, std::move(ack_t), &rings),
+        notif_q(s, rc.notification_queue_entries, std::move(notif_t), &rings),
+        flush_trig(s),
+        host_flush_trig(s) {}
 
   int global_rank;
   int local_rank;
 
+  // One allocation holds all three queue rings.
+  static std::size_t ring_bytes(const sim::RuntimeConfig& rc) {
+    return queue::CircularQueue<Command>::ring_bytes(rc.command_queue_entries) +
+           queue::CircularQueue<Ack>::ring_bytes(rc.ack_queue_entries) +
+           queue::CircularQueue<Notification>::ring_bytes(
+               rc.notification_queue_entries);
+  }
+  std::pmr::monotonic_buffer_resource rings;
   queue::CircularQueue<Command> cmd_q;     // device -> host
   queue::CircularQueue<Ack> ack_q;         // host -> device
   queue::CircularQueue<Notification> notif_q;  // host -> device
@@ -86,7 +97,7 @@ struct RankState {
   std::array<std::int32_t, 2> win_create_seq{0, 0};              // per comm
   std::uint64_t flush_frontier = 0;        // host-side contiguous frontier
   std::set<std::uint64_t> flush_done_ooo;  // completed out of order
-  sim::Trigger* host_flush_trig = nullptr;  // owned by NodeRuntime
+  sim::Trigger host_flush_trig;  // frontier advanced (block manager)
   // Rendezvous fence (eager fast path only): rendezvous-path puts this rank
   // issued per target node. The target reconstructs the same sequence from
   // per-rank meta arrival order (protocol.h).
@@ -278,7 +289,6 @@ class NodeRuntime {
   std::unique_ptr<sim::SharedResource> host_compute_;
   std::unique_ptr<sim::SharedResource> host_memory_;
   std::vector<std::unique_ptr<RankState>> ranks_;
-  std::vector<std::unique_ptr<sim::Trigger>> host_flush_trigs_;
   std::map<std::int32_t, WindowInfo> windows_;  // by global id
   std::array<int, 2> barrier_arrivals_{0, 0};   // per comm
   std::vector<EagerAggregator> eager_agg_;      // by target node; empty when

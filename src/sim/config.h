@@ -4,7 +4,13 @@
 // Greina: Haswell nodes, one Tesla K80 GPU per node, x EDR InfiniBand,
 // CUDA 7.0, CUDA-aware OpenMPI 1.10.0, gdrcopy). See DESIGN.md §4.
 
+#include <algorithm>
 #include <cstdint>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "net/fault.h"
 #include "net/topology.h"
@@ -166,6 +172,23 @@ struct HostConfig {
   double threads_to_saturate = 4.0;
 };
 
+// Default worker-thread count of the parallel event engine: one per CPU
+// the process may run on — its affinity mask, which is every hardware
+// thread unless the process was pinned (taskset, cpusets) — and at least
+// one. Spinning workers on pinned-away CPUs would only time-slice against
+// each other. Queried once per process.
+inline int default_threads() {
+  static const int n = [] {
+    int cpus = static_cast<int>(std::thread::hardware_concurrency());
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) cpus = CPU_COUNT(&set);
+#endif
+    return std::max(1, cpus);
+  }();
+  return n;
+}
+
 struct MachineConfig {
   int num_nodes = 1;
   DeviceConfig device;
@@ -189,9 +212,10 @@ struct MachineConfig {
   // shards are grouped onto executors and how many worker threads run them,
   // so every setting produces byte-identical results. `shards` is the
   // executor-group count (0 = one group per node shard); `threads` is
-  // the worker-thread count (1 = serial execution, the default).
+  // the worker-thread count (default: every hardware thread; 1 = serial
+  // execution). The engine never runs more threads than executor groups.
   int shards = 0;
-  int threads = 1;
+  int threads = default_threads();
   // Lossy-fabric fault injection (net/fault.h): all probabilities zero by
   // default, which keeps the fabric on its historical perfectly-reliable
   // code path (wire format and event schedule byte-identical). Any nonzero

@@ -12,7 +12,6 @@
 
 #include <coroutine>
 #include <exception>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -26,8 +25,11 @@ namespace detail {
 struct PromiseBase {
   std::coroutine_handle<> continuation;  // parent awaiting this coroutine
   std::exception_ptr exception;
-  // Set by Simulation::spawn for root coroutines; invoked at final suspend.
-  std::function<void()> on_final;
+  // Set by Simulation::spawn for root coroutines; invoked with
+  // on_final_arg at final suspend. A plain function pointer, so spawning a
+  // process allocates no closure.
+  void (*on_final)(void*) = nullptr;
+  void* on_final_arg = nullptr;
   bool detached = false;  // frame self-destroys at final suspend
 
   std::suspend_always initial_suspend() noexcept { return {}; }
@@ -38,7 +40,7 @@ struct PromiseBase {
     std::coroutine_handle<> await_suspend(std::coroutine_handle<P> h) noexcept {
       PromiseBase& p = h.promise();
       if (p.continuation) return p.continuation;
-      if (p.on_final) p.on_final();
+      if (p.on_final) p.on_final(p.on_final_arg);
       if (p.detached) h.destroy();
       return std::noop_coroutine();
     }

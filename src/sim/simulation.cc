@@ -1,8 +1,7 @@
 #include "sim/simulation.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
+#include <chrono>
 #include <sstream>
 #include <thread>
 
@@ -30,98 +29,192 @@ inline void cpu_relax() {
 
 }  // namespace
 
-// Worker-thread pool for multi-threaded windows. The main thread is worker
-// 0; pool threads pick up their executor groups when the epoch advances and
-// report back through an atomic countdown. Workers spin briefly before
-// sleeping on the condition variable, and the main thread's completion wait
-// spins with yields — windows are microseconds of work, so the barrier must
-// not round-trip the scheduler when cores are available.
+// Worker-thread pool for multi-threaded windows. The calling thread only
+// starts a run and sleeps until it ends; the pool workers execute the
+// windows and the serial section between them. Executor groups are
+// claimed, not assigned: each window every worker sweeps all groups once,
+// starting at its home group w*G/T, and claims each still-unclaimed group
+// with one CAS on that group's flag (window epoch - 1 -> epoch). In a
+// balanced window every worker claims its home groups, so shards stay on
+// warm caches; a worker that is descheduled or slow to wake simply claims
+// nothing, and the others take its groups. Completion counts groups, not
+// workers: whichever worker finishes a window's last group runs the serial
+// section (merge + next bound) and opens the next window itself, so no
+// thread has to wake up for the hand-off. Waiting workers spin for a
+// bounded budget (windows are microseconds of work, so the barrier must not
+// round-trip the kernel while cores are available) and then sleep on the
+// futex behind std::atomic::wait — never a sched_yield loop, which burns
+// system time when threads outnumber idle cores.
+//
+// Keeping the calling thread out of the windows also keeps its allocations
+// (and so the main malloc arena) exactly those of construction and
+// teardown: shard work allocates in the workers' arenas, so peak memory
+// does not depend on which thread happened to run which shard.
 struct Simulation::Workers {
-  Workers(Simulation& s, int nthreads) : sim(s) {
-    pool.reserve(static_cast<size_t>(nthreads - 1));
-    for (int w = 1; w < nthreads; ++w) {
+  using Clock = std::chrono::steady_clock;
+  // Spin budget before sleeping; covers a typical window and the serial
+  // merge between two windows.
+  static constexpr auto kSpinBudget = std::chrono::microseconds(50);
+
+  Workers(Simulation& s, int nthreads, int ngroups)
+      : sim(s),
+        groups(ngroups),
+        claimed(static_cast<size_t>(ngroups)),
+        wait_ns(static_cast<size_t>(nthreads)) {
+    pool.reserve(static_cast<size_t>(nthreads));
+    for (int w = 0; w < nthreads; ++w) {
       pool.emplace_back([this, w] { worker_loop(w); });
     }
   }
 
   ~Workers() {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      stop.store(true, std::memory_order_relaxed);
-    }
-    cv.notify_all();
+    stop.store(true, std::memory_order_relaxed);
+    epoch.fetch_add(1, std::memory_order_release);
+    epoch.notify_all();
     for (auto& t : pool) t.join();
   }
 
-  int threads() const { return static_cast<int>(pool.size()) + 1; }
+  Workers(const Workers&) = delete;
+  Workers& operator=(const Workers&) = delete;
 
-  // Executes one window across all groups; returns once every shard is done.
-  void run_window(Time b, Time l, int g) {
-    bound = b;
+  int threads() const { return static_cast<int>(pool.size()); }
+
+  // Runs windows until the queues drain or pass `l`; rethrows a failure of
+  // the serial section. Window exceptions stay in their shards.
+  void run(Time l) {
     limit = l;
-    groups = g;
-    remaining.store(static_cast<int>(pool.size()), std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      epoch.fetch_add(1, std::memory_order_release);
+    run_start.store(Clock::now().time_since_epoch().count(),
+                    std::memory_order_relaxed);
+    error = nullptr;
+    finished.store(false, std::memory_order_relaxed);
+    if (!open_next()) {
+      if (error) std::rethrow_exception(error);
+      return;
     }
-    cv.notify_all();
-    exec_groups(0);
-    for (int spin = 0; remaining.load(std::memory_order_acquire) > 0; ++spin) {
-      if (spin < 128) {
-        cpu_relax();
-      } else {
-        std::this_thread::yield();
-      }
+    while (!finished.load(std::memory_order_acquire)) {
+      finished.wait(false, std::memory_order_acquire);
     }
+    if (error) std::rethrow_exception(error);
+  }
+
+  // Serial section: merges the staged events and opens the next window.
+  // Returns false, with the run finished, when there is none.
+  bool open_next() {
+    Time b = 0.0;
+    bool more = false;
+    try {
+      more = sim.next_window(limit, b);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    if (!more) return false;
+    bound = b;
+    remaining.store(groups, std::memory_order_relaxed);
+    epoch.fetch_add(1, std::memory_order_release);
+    epoch.notify_all();
+    return true;
   }
 
   void worker_loop(int w) {
-    std::uint64_t seen = 0;
+    std::uint32_t seen = 0;
     for (;;) {
-      bool woke = false;
-      for (int spin = 0; spin < 2048; ++spin) {
-        if (stop.load(std::memory_order_relaxed)) return;
-        if (epoch.load(std::memory_order_acquire) != seen) {
-          woke = true;
-          break;
-        }
-        cpu_relax();
-      }
-      if (!woke) {
-        std::unique_lock<std::mutex> lk(mu);
-        cv.wait(lk, [&] {
-          return stop.load(std::memory_order_relaxed) ||
-                 epoch.load(std::memory_order_acquire) != seen;
-        });
-        if (stop.load(std::memory_order_relaxed)) return;
+      const auto t0 = Clock::now();
+      auto opened = [&] { return epoch.load(std::memory_order_acquire) != seen; };
+      if (!spin_until(opened, t0)) {
+        epoch.wait(seen, std::memory_order_acquire);
       }
       seen = epoch.load(std::memory_order_acquire);
-      exec_groups(w);
-      remaining.fetch_sub(1, std::memory_order_release);
+      // Idle time between runs is not a barrier wait.
+      const Clock::time_point start{
+          Clock::duration{run_start.load(std::memory_order_relaxed)}};
+      add_wait(w, std::max(t0, start));
+      if (stop.load(std::memory_order_relaxed)) return;
+      claim_groups(w, seen);
     }
   }
 
-  // Worker w executes groups w, w+T, ...; group g owns shards g, g+G, ....
-  void exec_groups(int w) {
-    const int t = threads();
+  // Claims and executes the groups of window `e` that no other worker has
+  // claimed yet. A claim succeeds only while window e is open: every group
+  // is claimed exactly once per window, so at window open all flags read
+  // e - 1, and a worker holding a stale epoch expects an older value and
+  // fails. The window cannot complete while a group is unclaimed, so a
+  // claimant's reads of bound/limit (published before the release of
+  // `epoch` that produced e) cannot race with the next window's writes.
+  // Group g owns shards g, g+G, ....
+  void claim_groups(int w, std::uint32_t e) {
     const int n = static_cast<int>(sim.shards_.size());
-    for (int g = w; g < groups; g += t) {
+    const int home = w * groups / threads();
+    for (int i = 0; i < groups; ++i) {
+      const int g = (home + i) % groups;
+      std::atomic<std::uint32_t>& flag = claimed[static_cast<size_t>(g)].epoch;
+      std::uint32_t expect = e - 1;
+      if (flag.load(std::memory_order_relaxed) != expect ||
+          !flag.compare_exchange_strong(expect, e, std::memory_order_relaxed)) {
+        continue;
+      }
       for (int s = g; s < n; s += groups) {
         sim.exec_shard(*sim.shards_[static_cast<size_t>(s)], bound, limit);
       }
+      // The acq_rel countdown orders every group's shard writes before the
+      // serial section that the last finisher runs.
+      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        if (!open_next()) {
+          finished.store(true, std::memory_order_release);
+          finished.notify_one();
+        }
+        return;
+      }
     }
   }
 
+  // Spins until done() holds or the spin budget (counted from t0) runs out.
+  template <typename Pred>
+  static bool spin_until(Pred done, Clock::time_point t0) {
+    for (;;) {
+      for (int i = 0; i < 64; ++i) {
+        if (done()) return true;
+        cpu_relax();
+      }
+      if (Clock::now() - t0 > kSpinBudget) return false;
+    }
+  }
+
+  // Barrier-wait accounting: each worker only ever adds to its own slot.
+  void add_wait(int w, Clock::time_point t0) {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        Clock::now() - t0)
+                        .count();
+    auto& slot = wait_ns[static_cast<size_t>(w)].ns;
+    slot.store(slot.load(std::memory_order_relaxed) +
+                   static_cast<std::uint64_t>(ns),
+               std::memory_order_relaxed);
+  }
+
+  // One cache line per flag/slot: neighbours are written by other workers.
+  struct alignas(64) ClaimFlag {
+    std::atomic<std::uint32_t> epoch{0};  // last window that claimed the group
+  };
+  struct alignas(64) WaitSlot {
+    std::atomic<std::uint64_t> ns{0};
+  };
+
   Simulation& sim;
-  std::mutex mu;
-  std::condition_variable cv;
-  std::atomic<std::uint64_t> epoch{0};
-  std::atomic<int> remaining{0};
-  std::atomic<bool> stop{false};
-  Time bound = 0.0;
+  const int groups;
+  std::vector<ClaimFlag> claimed;  // per executor group
+  // Run and window parameters, written before the release of `epoch` that
+  // opens a window. `epoch` and `remaining` sit on lines of their own:
+  // workers spin on the first while the second takes every group's
+  // completion.
   Time limit = 0.0;
-  int groups = 1;
+  Time bound = 0.0;
+  // Atomic: a late worker may read it while the next run() writes it.
+  std::atomic<Clock::rep> run_start{0};
+  std::exception_ptr error;  // serial-section failure, rethrown by run()
+  std::atomic<bool> stop{false};
+  std::atomic<bool> finished{false};
+  alignas(64) std::atomic<std::uint32_t> epoch{0};  // bumped per window
+  alignas(64) std::atomic<int> remaining{0};  // groups not yet finished
+  std::vector<WaitSlot> wait_ns;  // per worker
   std::vector<std::thread> pool;
 };
 
@@ -257,27 +350,16 @@ JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
   st->name = std::move(name);
   st->daemon = daemon;
   st->sim = this;
+  st->home_shard = home.index;
 
   Proc<void> runner = root_runner(std::move(p), st);
   auto h = runner.release();
   h.promise().detached = true;
   st->frame = h;
   // root_runner holds its own shared_ptr to the state, which outlives
-  // final_suspend. The completion hook updates the spawning shard's
-  // registry counters — processes that finish do so on their home shard
-  // (the affinity asserts enforce this for multi-threaded windows).
-  JoinHandle::State* stp = st.get();
-  Shard* homep = &home;
-  h.promise().on_final = [this, stp, homep] {
-    stp->done = true;
-    stp->frame = nullptr;
-    ++(stp->daemon ? homep->done_daemons : homep->done_live);
-    if (stp->exception && stp->joiners.empty()) {
-      homep->escaped.push_back(stp->exception);
-    }
-    for (auto j : stp->joiners) schedule_resume(j);
-    stp->joiners.clear();
-  };
+  // final_suspend, so the state can serve as the completion hook's argument.
+  h.promise().on_final = &Simulation::finish_root;
+  h.promise().on_final_arg = st.get();
   auto& registry = daemon ? home.daemons : home.live;
   std::size_t& done_count = daemon ? home.done_daemons : home.done_live;
   registry.push_back(st);
@@ -291,6 +373,22 @@ JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
   }
   schedule_resume(h);
   return JoinHandle(st);
+}
+
+// Completion hook of a root process. Updates the spawning shard's registry
+// counters — processes that finish do so on their home shard (the affinity
+// asserts enforce this for multi-threaded windows).
+void Simulation::finish_root(void* state) {
+  auto* st = static_cast<JoinHandle::State*>(state);
+  Shard& home = *st->sim->shards_[static_cast<size_t>(st->home_shard)];
+  st->done = true;
+  st->frame = nullptr;
+  ++(st->daemon ? home.done_daemons : home.done_live);
+  if (st->exception && st->joiners.empty()) {
+    home.escaped.push_back(st->exception);
+  }
+  for (auto j : st->joiners) st->sim->schedule_resume(j);
+  st->joiners.clear();
 }
 
 Proc<void> JoinHandle::join() {
@@ -372,11 +470,16 @@ bool Simulation::step(Shard& sh, Time bound, Time limit) {
 
 void Simulation::exec_shard(Shard& sh, Time bound, Time limit) {
   ShardGuard g(*this, sh.index);
+  const std::size_t before = sh.events_processed;
   try {
     while (step(sh, bound, limit)) {
     }
   } catch (...) {
     sh.window_exception = std::current_exception();
+  }
+  if (sh.events_processed != before) {
+    ++sh.busy_windows;
+    sh.window_events += sh.events_processed - before;
   }
 }
 
@@ -447,6 +550,22 @@ void Simulation::run_events(Time limit) {
   run_windows(limit);
 }
 
+// Serial section between two windows: merges the staged cross-shard
+// events and computes the next window's bound. False when the run is over:
+// a shard threw, the queues drained, or the next event is past `limit`.
+bool Simulation::next_window(Time limit, Time& bound) {
+  for (const auto& sh : shards_) {
+    if (sh->window_exception) return false;
+  }
+  merge_staged();
+  Time m = kInfTime;
+  for (const auto& sh : shards_) m = std::min(m, next_time(*sh));
+  if (m == kInfTime || m > limit) return false;  // drained, or past run_until
+  bound = m + lookahead_;
+  ++windows_;
+  return true;
+}
+
 void Simulation::run_windows(Time limit) {
   if (lookahead_ <= 0.0) {
     throw std::logic_error(
@@ -456,34 +575,53 @@ void Simulation::run_windows(Time limit) {
   const int n = static_cast<int>(shards_.size());
   const int groups = exec_groups_req_ > 0 ? std::min(exec_groups_req_, n) : n;
   const int threads = std::min(exec_threads_req_, groups);
-  if (threads > 1 && (workers_ == nullptr || workers_->threads() != threads)) {
-    workers_ = std::make_unique<Workers>(*this, threads);
-  }
-  for (;;) {
-    merge_staged();
-    Time m = kInfTime;
-    for (const auto& sh : shards_) m = std::min(m, next_time(*sh));
-    if (m == kInfTime || m > limit) break;  // drained, or past run_until
-    const Time bound = m + lookahead_;
-    if (threads > 1) {
-      parallel_window_ = true;
-      workers_->run_window(bound, limit, groups);
+  if (threads > 1) {
+    if (workers_ == nullptr || workers_->threads() != threads ||
+        workers_->groups != groups) {
+      workers_ = std::make_unique<Workers>(*this, threads, groups);
+    }
+    parallel_window_ = true;
+    try {
+      workers_->run(limit);
+    } catch (...) {
       parallel_window_ = false;
-    } else {
+      throw;
+    }
+    parallel_window_ = false;
+  } else {
+    Time bound = 0.0;
+    while (next_window(limit, bound)) {
       for (int g = 0; g < groups; ++g) {
         for (int s = g; s < n; s += groups) {
           exec_shard(*shards_[static_cast<size_t>(s)], bound, limit);
         }
       }
     }
-    for (auto& sh : shards_) {
-      if (sh->window_exception) {
-        auto ex = sh->window_exception;
-        sh->window_exception = nullptr;
-        std::rethrow_exception(ex);
-      }
+  }
+  // Window failures surface in shard order, whatever thread ran the shard.
+  for (auto& sh : shards_) {
+    if (sh->window_exception) {
+      auto ex = sh->window_exception;
+      sh->window_exception = nullptr;
+      std::rethrow_exception(ex);
     }
   }
+}
+
+Simulation::WindowStats Simulation::window_stats() const {
+  WindowStats w;
+  w.windows = windows_;
+  for (const auto& sh : shards_) {
+    w.busy_shard_windows += sh->busy_windows;
+    w.events += sh->window_events;
+  }
+  if (workers_ != nullptr) {
+    for (const auto& slot : workers_->wait_ns) {
+      w.barrier_wait_s.push_back(
+          static_cast<double>(slot.ns.load(std::memory_order_relaxed)) * 1e-9);
+    }
+  }
+  return w;
 }
 
 // Aligns every shard clock (and the global clock) on max(shard clocks,

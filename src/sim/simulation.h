@@ -404,6 +404,32 @@ class Simulation {
     return p;
   }
 
+  // Conservative-window telemetry of multi-shard runs (docs/OBSERVABILITY.md,
+  // "Engine telemetry"). A busy shard-window is one (window, shard) pair
+  // that fired at least one event; the ratio events / busy_shard_windows is
+  // the work a worker gets per claim, which is what the barrier cost must
+  // be amortised over. barrier_wait_s has one entry per worker thread of
+  // the current pool: the time it had no group to run during a run,
+  // waiting for the next window to open (which includes the serial merge
+  // another worker runs in between). It is empty when windows ran
+  // serially. Single-shard runs have no windows and report zeros.
+  struct WindowStats {
+    std::uint64_t windows = 0;
+    std::uint64_t busy_shard_windows = 0;
+    std::uint64_t events = 0;  // events fired inside windows
+    std::vector<double> barrier_wait_s;
+
+    double events_per_window() const {
+      return windows > 0 ? static_cast<double>(events) / windows : 0.0;
+    }
+    double events_per_busy_shard_window() const {
+      return busy_shard_windows > 0
+                 ? static_cast<double>(events) / busy_shard_windows
+                 : 0.0;
+    }
+  };
+  WindowStats window_stats() const;
+
  private:
   friend class EventToken;
   friend class ShardGuard;
@@ -509,6 +535,10 @@ class Simulation {
     // Cross-shard staging, one list per destination shard.
     std::vector<std::vector<Staged>> outbound;
     std::exception_ptr window_exception;
+
+    // Window telemetry (window_stats).
+    std::uint64_t busy_windows = 0;
+    std::uint64_t window_events = 0;
   };
 
   struct Workers;  // worker-thread pool (defined in simulation.cc)
@@ -648,10 +678,12 @@ class Simulation {
   void exec_shard(Shard& sh, Time bound, Time limit);
   void run_events(Time limit);
   void run_windows(Time limit);
+  bool next_window(Time limit, Time& bound);
   void merge_staged();
   void sync_clocks(Time at_least);
   void check_deadlock() const;
   void rethrow_pending();
+  static void finish_root(void* state);  // PromiseBase::on_final of roots
 
   std::vector<std::unique_ptr<Shard>> shards_;
   Time global_now_ = 0.0;
@@ -660,6 +692,7 @@ class Simulation {
   int exec_groups_req_ = 0;  // 0 = one group per shard
   int exec_threads_req_ = 1;
   bool parallel_window_ = false;
+  std::uint64_t windows_ = 0;
   std::unique_ptr<Workers> workers_;
   std::vector<std::pair<Staged, int>> merge_scratch_;  // (event, src shard)
 
@@ -698,6 +731,7 @@ struct JoinHandle::State {
   std::exception_ptr exception;
   std::vector<std::coroutine_handle<>> joiners;
   Simulation* sim = nullptr;
+  int home_shard = 0;             // shard whose registry holds the process
   std::coroutine_handle<> frame;  // for cleanup if never completed
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -28,9 +29,13 @@ constexpr int kFewRanks = 4;
 TEST(DcudaInit, RankIdentities) {
   Cluster c({.machine = small_machine(2), .ranks_per_device = kFewRanks});
   std::vector<int> world_ranks, device_ranks;
+  std::mutex mu;  // the two nodes' ranks run on different worker threads
   c.run([&](Context& ctx) -> Proc<void> {
-    world_ranks.push_back(comm_rank(ctx, kCommWorld));
-    device_ranks.push_back(comm_rank(ctx, kCommDevice));
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      world_ranks.push_back(comm_rank(ctx, kCommWorld));
+      device_ranks.push_back(comm_rank(ctx, kCommDevice));
+    }
     EXPECT_EQ(comm_size(ctx, kCommWorld), 8);
     EXPECT_EQ(comm_size(ctx, kCommDevice), kFewRanks);
     co_return;

@@ -141,9 +141,13 @@ struct Fingerprint {
   std::size_t events = 0;
   std::string faults;
   std::string obs;
+  sim::Simulation::WindowStats windows;  // barrier_wait_s is wall-clock
   bool operator==(const Fingerprint& o) const {
     return checksum == o.checksum && elapsed == o.elapsed &&
-           events == o.events && faults == o.faults && obs == o.obs;
+           events == o.events && faults == o.faults && obs == o.obs &&
+           windows.windows == o.windows.windows &&
+           windows.busy_shard_windows == o.windows.busy_shard_windows &&
+           windows.events == o.windows.events;
   }
 };
 
@@ -171,6 +175,7 @@ Fingerprint run_stencil(int groups, int threads, std::uint64_t perturb,
   fp.checksum = res.checksum;
   fp.elapsed = res.elapsed;
   fp.events = c.sim().events_processed();
+  fp.windows = c.sim().window_stats();
   const net::Fabric::FaultStats& fs = c.fabric().fault_stats();
   std::ostringstream os;
   os << fs.originals << ' ' << fs.drops << ' ' << fs.dups << ' '
@@ -222,6 +227,34 @@ TEST(ClusterParallel, FaultyTorusRunIsExecutorInvariant) {
   topo.kind = net::TopologyKind::kTorus3D;
   const Fingerprint serial = run_stencil(1, 1, 7, 0.01, topo);
   EXPECT_TRUE(run_stencil(0, 4, 7, 0.01, topo) == serial);
+}
+
+TEST(ClusterParallel, WindowStatsDescribeTheRun) {
+  // Every event of a multi-shard run fires inside a window; the window and
+  // busy shard-window counts are part of the logical schedule (compared
+  // across executors by the fingerprints above); each pool worker reports
+  // its barrier wait, and serial windows report none.
+  const Fingerprint serial = run_stencil(1, 1, 0, 0.0);
+  const sim::Simulation::WindowStats& w = serial.windows;
+  EXPECT_GT(w.windows, 0u);
+  EXPECT_EQ(w.events, serial.events);
+  EXPECT_GE(w.busy_shard_windows, w.windows);
+  EXPECT_LE(w.busy_shard_windows, 4 * w.windows);  // 4 node shards
+  EXPECT_DOUBLE_EQ(w.events_per_window(),
+                   static_cast<double>(w.events) / w.windows);
+  EXPECT_TRUE(w.barrier_wait_s.empty());
+  const Fingerprint par = run_stencil(0, 4, 0, 0.0);
+  ASSERT_EQ(par.windows.barrier_wait_s.size(), 4u);
+  for (double s : par.windows.barrier_wait_s) EXPECT_GE(s, 0.0);
+
+  // One node: the classic single-shard engine, no windows at all.
+  Cluster c({.machine = sim::machine_config(1), .ranks_per_device = 2});
+  c.run([](Context& ctx) -> sim::Proc<void> {
+    co_await ctx.block->compute_flops(1e6);
+  });
+  EXPECT_GT(c.sim().events_processed(), 0u);
+  EXPECT_EQ(c.sim().window_stats().windows, 0u);
+  EXPECT_EQ(c.sim().window_stats().events, 0u);
 }
 
 TEST(ClusterParallel, ThreadCountDoesNotChangeEventCount) {

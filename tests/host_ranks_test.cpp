@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 #include "cluster/cluster.h"
 #include "dcuda/collectives.h"
 
@@ -22,18 +24,25 @@ TEST(HostRanks, IdentityAndSizes) {
   Cluster c({.machine = machine(2), .ranks_per_device = 3, .host_ranks = 2});
   EXPECT_EQ(c.world_size(), 10);
   std::vector<int> host_ranks_seen, device_ranks_seen;
+  std::mutex mu;  // the two nodes' ranks run on different worker threads
   c.run(
       [&](Context& ctx) -> Proc<void> {  // device ranks
         EXPECT_FALSE(ctx.is_host_rank());
         EXPECT_GE(ctx.device_rank, 0);
-        device_ranks_seen.push_back(ctx.world_rank);
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          device_ranks_seen.push_back(ctx.world_rank);
+        }
         co_await barrier(ctx, kCommWorld);
       },
       [&](Context& ctx) -> Proc<void> {  // host ranks
         EXPECT_TRUE(ctx.is_host_rank());
         EXPECT_EQ(ctx.device_rank, -1);
         EXPECT_EQ(comm_size(ctx, kCommWorld), 10);
-        host_ranks_seen.push_back(ctx.world_rank);
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          host_ranks_seen.push_back(ctx.world_rank);
+        }
         co_await barrier(ctx, kCommWorld);
       });
   EXPECT_EQ(device_ranks_seen.size(), 6u);

@@ -163,8 +163,10 @@ TEST(MpiStats, StagingCountersTrackProtocolChoice) {
     co_await c.mpi(1).recv(0, 0, c.device(1).ref(small_dst));
     co_await c.mpi(1).recv(0, 1, c.device(1).ref(big_dst));
   };
-  s.spawn(tx(), "tx");
-  s.spawn(rx(), "rx");
+  // Each side runs on its own node's shard: under parallel windows a
+  // process may only wait on triggers of the shard it runs in.
+  s.spawn_on(0, tx(), "tx");
+  s.spawn_on(1, rx(), "rx");
   s.run();
   EXPECT_EQ(c.mpi(0).staged_transfers(), 1u);          // only the 256 kB one
   EXPECT_GE(c.mpi(0).direct_device_transfers(), 1u);   // the 1 kB one

@@ -88,13 +88,14 @@ sim::MachineConfig fuzz_machine(int nodes, std::uint64_t seed,
   // the fault-rate selector (seed % 4) within each aligned 8-seed window.
   if ((seed >> 2) & 1) m.backend = sim::RuntimeBackend::kDeviceInitiated;
   // Executor lane (docs/PERF.md, "Parallel engine"): the seed also picks an
-  // executor-group count (1/2/4/8) and, on half of those seeds, a second
-  // worker thread. Executor knobs never change results — the window
-  // protocol is executor-invariant by construction — so every fuzz sweep
-  // doubles as an engine-invariance battery across perturbation × fault ×
-  // backend × executor combinations.
+  // executor-group count (1/2/4/8) and a worker-thread count: serial on
+  // half of those seeds (the reference executor, pinned explicitly since
+  // the default runs every core), two threads on the other half. Executor
+  // knobs never change results — the window protocol is executor-invariant
+  // by construction — so every fuzz sweep doubles as an engine-invariance
+  // battery across perturbation × fault × backend × executor combinations.
   m.shards = 1 << ((seed >> 3) & 3);
-  if ((seed >> 5) & 1) m.threads = 2;
+  m.threads = ((seed >> 5) & 1) ? 2 : 1;
   // Topology lane (docs/TOPOLOGY.md): bits 6-7 pick the interconnect —
   // flat (historical pipe), fat tree, torus, or flat with 2 NIC rails — and
   // bit 8 doubles the rails on the non-flat kinds, so go-back-N recovery

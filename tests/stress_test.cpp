@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 
 #include "cluster/cluster.h"
@@ -124,7 +125,7 @@ TEST(StressScale, FullRankCountSmoke) {
   ASSERT_EQ(c.world_size(), 416);
   auto m0 = c.device(0).alloc<double>(416);
   auto m1 = c.device(1).alloc<double>(416);
-  int completions = 0;
+  std::atomic<int> completions{0};  // both nodes' ranks count, in parallel
   c.run([&](Context& ctx) -> Proc<void> {
     auto mem = ctx.node->node() == 0 ? m0 : m1;
     Window w = co_await win_create(ctx, kCommWorld, mem);
@@ -142,7 +143,7 @@ TEST(StressScale, FullRankCountSmoke) {
     co_await win_free(ctx, w);
     ++completions;
   });
-  EXPECT_EQ(completions, 416);
+  EXPECT_EQ(completions.load(), 416);
 }
 
 // Repeated window create/free churn across communicators.
