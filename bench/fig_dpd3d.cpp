@@ -18,8 +18,9 @@
 // Extra modes:
 //   --json          one JSON line for scripts/bench_perf.sh: skewed-density
 //                   dCUDA vs MPI-CUDA comparison (gate: speedup >= 1.2).
-//   --fingerprint   deterministic one-line fingerprint of the skewed
-//                   schedule (golden file tests/golden/dpd3d_skew.golden and
+//   --fingerprint   deterministic fingerprint lines: the skewed schedule
+//                   with rebalance, then MPI-CUDA skewed/uniform and dCUDA
+//                   uniform (golden file tests/golden/dpd3d_skew.golden and
 //                   the check_determinism.sh dpd3d battery).
 //   --eager         apply eager_threshold=2048 to every run (the eager lane
 //                   of the determinism battery).
@@ -120,23 +121,33 @@ int main(int argc, char** argv) {
   }
 
   if (opt.fingerprint) {
-    // One deterministic line capturing both the physics (bitwise checksum,
-    // conservation, halo totals) and the schedule (elapsed virtual nanos,
-    // ticket count with rebalance on). Golden: tests/golden/dpd3d_skew.golden.
-    Config cfg = skewed_config();
-    cfg.rebalance = true;
+    // One deterministic line per run capturing both the physics (bitwise
+    // checksum, conservation, halo totals) and the schedule (elapsed virtual
+    // nanos, ticket count with rebalance on). The first line is the skewed
+    // dCUDA run with rebalance; the MPI-CUDA runs and the uniform-density
+    // dCUDA run follow. Golden: tests/golden/dpd3d_skew.golden.
     const int nodes = 3;
-    const Result d = run(nodes, cfg, true, opt.eager);
-    std::printf(
-        "dpd3d skew fingerprint nodes=%d ranks=%d iters=%d elapsed_ns=%.0f "
-        "particles=%lld checksum=%.17g mom=%.17g,%.17g,%.17g peak=%d "
-        "halo=%lld violations=%lld tickets=%lld imbalance=%.6f\n",
-        nodes, nodes * cfg.cells_per_node, cfg.iterations,
-        sim::to_nanos(d.elapsed), static_cast<long long>(d.total_particles),
-        d.checksum, d.momentum_x, d.momentum_y, d.momentum_z, d.max_cell_count,
-        static_cast<long long>(d.halo_received_total),
-        static_cast<long long>(d.halo_violations),
-        static_cast<long long>(d.work_tickets), mean(d.iter_imbalance));
+    auto print = [&](const char* label, const Config& cfg, bool dcuda_variant) {
+      const Result d = run(nodes, cfg, dcuda_variant, opt.eager);
+      std::printf(
+          "dpd3d %s fingerprint nodes=%d ranks=%d iters=%d elapsed_ns=%.0f "
+          "particles=%lld checksum=%.17g mom=%.17g,%.17g,%.17g peak=%d "
+          "halo=%lld violations=%lld tickets=%lld imbalance=%.6f\n",
+          label, nodes, nodes * cfg.cells_per_node, cfg.iterations,
+          sim::to_nanos(d.elapsed), static_cast<long long>(d.total_particles),
+          d.checksum, d.momentum_x, d.momentum_y, d.momentum_z, d.max_cell_count,
+          static_cast<long long>(d.halo_received_total),
+          static_cast<long long>(d.halo_violations),
+          static_cast<long long>(d.work_tickets), mean(d.iter_imbalance));
+    };
+    Config skew = skewed_config();
+    skew.rebalance = true;
+    print("skew", skew, true);
+    print("skew mpi_cuda", skew, false);
+    Config uni = base_config();
+    uni.record_load = true;
+    print("uniform mpi_cuda", uni, false);
+    print("uniform dcuda", uni, true);
     return 0;
   }
 
