@@ -53,20 +53,20 @@
 #include <cstdint>
 #include <vector>
 
+#include "apps/particle_core.h"
 #include "cluster/cluster.h"
 #include "sim/proc.h"
 
 namespace dcuda::apps::dpd3d {
 
-// 27-direction index space: dir = (dx+1) + 3*(dy+1) + 9*(dz+1) with each
-// offset in {-1, 0, +1}. kSelf (13) is the zero offset; opposite(d) mirrors
-// all three axes.
-inline constexpr int kDirs = 27;
-inline constexpr int kSelf = 13;
-inline constexpr int opposite(int dir) { return kDirs - 1 - dir; }
-inline constexpr std::array<int, 3> dir_offset(int dir) {
-  return {dir % 3 - 1, (dir / 3) % 3 - 1, dir / 9 - 1};
-}
+// The 27-direction index space and the rank Grid (dimensions, cell <-> rank
+// mapping, dir2rank table, compacted active list) come from the particle
+// core shared with the 2-D app.
+using particle_core::dir_offset;
+using particle_core::Grid;
+using particle_core::kDirs;
+using particle_core::kSelf;
+using particle_core::opposite;
 
 enum class Density : std::int32_t {
   kUniform = 0,  // every cell starts with particles_per_cell particles
@@ -130,25 +130,6 @@ struct Result {
   std::int64_t halo_violations = 0;
   std::int64_t work_tickets = 0;     // rebalance: offloaded scan batches
   std::vector<double> iter_imbalance;  // record_load: max/mean scans per iter
-};
-
-// Rank grid geometry shared by all variants and the tests: dimensions,
-// cell <-> rank mapping, the dir2rank table and the compacted active list.
-struct Grid {
-  int gx = 0, gy = 0, gz = 0;
-  int cells() const { return gx * gy * gz; }
-  std::array<int, 3> coords(int cell) const {
-    return {cell / (gy * gz), (cell / gz) % gy, cell % gz};
-  }
-  int cell_at(int cx, int cy, int cz) const { return (cx * gy + cy) * gz + cz; }
-  // Global cell (== global rank) of the neighbor in direction `dir`, or -1
-  // outside the non-periodic domain.
-  int dir2cell(int cell, int dir) const;
-  // dir2rank[27] table for one cell: dir2cell for every direction, kSelf
-  // mapped to the cell itself.
-  std::array<int, kDirs> dir2rank(int cell) const;
-  // Compacted active-neighbour directions (kSelf and out-of-domain excluded).
-  std::vector<int> active_dirs(int cell) const;
 };
 
 // Grid for a cluster geometry (explicit Config dims or exact near-cubic

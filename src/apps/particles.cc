@@ -2,15 +2,27 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <span>
 
+#include "apps/particle_core.h"
 #include "baseline/mpi_cuda.h"
 #include "sim/random.h"
 
 namespace dcuda::apps::particles {
 
 namespace {
+
+namespace core = particle_core;
+using core::kMinusX;
+using core::kPlusX;
+using core::kSelf;
+using core::Slots;
+
+// Record fields of the cell, inbox and outbox slots (one double each); halo
+// slots hold the positions (kX, kY) only.
+enum Field : int { kX = 0, kY = 1, kVx = 2, kVy = 3 };
+constexpr int kFields = 4;
+constexpr int kHaloFields = 2;
 
 // A view of one cell's (or halo slot's) particle storage.
 struct CellView {
@@ -20,6 +32,13 @@ struct CellView {
   double* vy = nullptr;
   std::int32_t count = 0;
 };
+
+CellView view(const Slots& s, int c, int dir) {
+  const bool vel = s.fields() > kVx;
+  return CellView{s.recs(c, dir, kX), s.recs(c, dir, kY),
+                  vel ? s.recs(c, dir, kVx) : nullptr,
+                  vel ? s.recs(c, dir, kVy) : nullptr, s.count(c, dir)};
+}
 
 // Deterministic initial particle placement for global cell `gc`. The same
 // particles appear regardless of decomposition, so all variants (and the
@@ -93,57 +112,33 @@ std::int64_t force_and_update(const Config& cfg, CellView self, const CellView& 
   return scans;
 }
 
-// Phase 3 for one cell: stable-compacts stayers, appends movers to the
-// left/right outboxes. Cell boundaries are [gc*cell_width, (gc+1)*cell_width).
-struct SortResult {
-  std::int32_t left = 0;
-  std::int32_t right = 0;
-};
-SortResult sort_out(const Config& cfg, int gc, CellView self, std::int32_t* count,
-                    CellView lout, CellView rout) {
-  const double lo = gc * cfg.cell_width, hi = (gc + 1) * cfg.cell_width;
-  SortResult res;
-  int keep = 0;
-  for (int i = 0; i < *count; ++i) {
-    CellView* dst = nullptr;
-    int idx = 0;
-    if (self.x[i] < lo) {
-      assert(self.x[i] >= lo - cfg.cell_width && "particle hopped two cells");
-      dst = &lout;
-      idx = res.left++;
-    } else if (self.x[i] >= hi) {
-      assert(self.x[i] < hi + cfg.cell_width && "particle hopped two cells");
-      dst = &rout;
-      idx = res.right++;
-    }
-    if (dst != nullptr) {
-      dst->x[idx] = self.x[i];
-      dst->y[idx] = self.y[i];
-      dst->vx[idx] = self.vx[i];
-      dst->vy[idx] = self.vy[i];
-    } else {
-      self.x[keep] = self.x[i];
-      self.y[keep] = self.y[i];
-      self.vx[keep] = self.vx[i];
-      self.vy[keep] = self.vy[i];
-      ++keep;
-    }
-  }
-  *count = keep;
-  return res;
+// Phase 2 for local cell r of a store, reading its two halo slots.
+std::int64_t force_and_update(const Config& cfg, const core::Grid& grid, const Slots& cell,
+                              const Slots& halo, int r) {
+  return force_and_update(cfg, view(cell, r, kSelf), view(halo, r, kMinusX),
+                          view(halo, r, kPlusX), grid.gx * cfg.cell_width);
 }
 
-// Phase 5: appends `n` arrivals from `from` to the cell.
-void append(CellView self, std::int32_t* count, const CellView& from, int n, int cap) {
-  assert(*count + n <= cap && "cell overflow: increase capacity_factor");
-  (void)cap;
-  for (int i = 0; i < n; ++i) {
-    const int d = (*count)++;
-    self.x[d] = from.x[i];
-    self.y[d] = from.y[i];
-    self.vx[d] = from.vx[i];
-    self.vy[d] = from.vy[i];
-  }
+// Phase 3 for one cell: stable-compacts stayers, moves leavers to the -x/+x
+// outboxes. Cell boundaries are [gc*cell_width, (gc+1)*cell_width). Returns
+// the number of movers.
+std::int32_t sort_out(const Config& cfg, const core::Grid& grid, int gc, const Slots& cell,
+                      int r, const Slots& outbox) {
+  const double lo = gc * cfg.cell_width, hi = (gc + 1) * cfg.cell_width;
+  const double* x = cell.recs(r, kSelf, kX);
+  return core::sort_out(cell, r, outbox, [&](int i) {
+    int dir = kSelf;
+    if (x[i] < lo) {
+      assert(x[i] >= lo - cfg.cell_width && "particle hopped two cells");
+      dir = kMinusX;
+    } else if (x[i] >= hi) {
+      assert(x[i] < hi + cfg.cell_width && "particle hopped two cells");
+      dir = kPlusX;
+    }
+    assert(grid.dir2cell(gc, dir) >= 0 && "mover fell off the global domain");
+    (void)grid;
+    return dir;
+  });
 }
 
 // Simulated per-iteration cost of one rank's cell (charged to the SM and the
@@ -158,9 +153,11 @@ sim::Proc<void> charge_iteration(gpu::BlockCtx& blk, std::int64_t pair_scans,
                            moved * 8.0 * sizeof(double));
 }
 
-// Per-device particle storage. Cells are rank-local (one cell per rank);
-// every rank additionally owns two halo slots (copies of the neighboring
-// cells' particles) and two migration inboxes.
+// Particle storage of one device, or of the whole domain for the serial
+// reference. Cells are rank-local (one cell per rank); every rank
+// additionally owns two halo slots (copies of the neighboring cells'
+// positions), two migration inboxes (parallel variants only) and two
+// outboxes, one per +-x direction.
 //
 // NOTE (documented deviation): the paper overlaps the windows of shared
 // memory ranks so that intra-device halo puts move no data. That leaves the
@@ -168,425 +165,188 @@ sim::Proc<void> charge_iteration(gpu::BlockCtx& blk, std::int64_t pair_scans,
 // neighbor's position update. We keep dedicated halo slots per rank instead
 // (intra-device halo puts become device-local copies), trading a little
 // intra-device bandwidth for deterministic, validatable physics.
-struct DeviceParticles {
-  std::span<double> x, y, vx, vy;       // cell storage, cap per cell
-  std::span<std::int32_t> count;         // per cell
-  std::span<double> hx, hy;              // halo slots: (rank, side) x cap
-  std::span<std::int32_t> hcount;        // (rank, side)
-  std::span<double> ibx, iby, ibvx, ibvy;  // inboxes: (rank, side) x cap
-  std::span<std::int32_t> ibcount;       // (rank, side)
-  std::span<double> obx, oby, obvx, obvy;  // outboxes (not windowed)
-  std::span<std::int32_t> obcount;         // (rank, side)
-  int cap = 0;
-
-  CellView cell(int r) {
-    const size_t o = static_cast<size_t>(r) * cap;
-    return CellView{&x[o], &y[o], &vx[o], &vy[o], count[static_cast<size_t>(r)]};
-  }
-  // side: 0 = left (data of the left neighbor), 1 = right.
-  CellView halo(int r, int side) {
-    const size_t o = (static_cast<size_t>(r) * 2 + side) * cap;
-    return CellView{&hx[o], &hy[o], nullptr, nullptr,
-                    hcount[static_cast<size_t>(r) * 2 + static_cast<size_t>(side)]};
-  }
-  CellView inbox(int r, int side) {
-    const size_t o = (static_cast<size_t>(r) * 2 + side) * cap;
-    return CellView{&ibx[o], &iby[o], &ibvx[o], &ibvy[o],
-                    ibcount[static_cast<size_t>(r) * 2 + static_cast<size_t>(side)]};
-  }
-  CellView outbox(int r, int side) {
-    const size_t o = (static_cast<size_t>(r) * 2 + side) * cap;
-    return CellView{&obx[o], &oby[o], &obvx[o], &obvy[o], 0};
-  }
+struct Store {
+  Slots cell, halo, inbox, outbox;
 };
 
-DeviceParticles make_device(gpu::Device& dev, const Config& cfg, int rpd,
-                            int node_id) {
-  DeviceParticles p;
-  p.cap = cfg.capacity();
-  const size_t cells = static_cast<size_t>(rpd);
-  const size_t n = cells * p.cap;
-  p.x = dev.alloc<double>(n);
-  p.y = dev.alloc<double>(n);
-  p.vx = dev.alloc<double>(n);
-  p.vy = dev.alloc<double>(n);
-  p.count = dev.alloc<std::int32_t>(cells);
-  p.hx = dev.alloc<double>(2 * n);
-  p.hy = dev.alloc<double>(2 * n);
-  p.hcount = dev.alloc<std::int32_t>(2 * cells);
-  p.ibx = dev.alloc<double>(2 * n);
-  p.iby = dev.alloc<double>(2 * n);
-  p.ibvx = dev.alloc<double>(2 * n);
-  p.ibvy = dev.alloc<double>(2 * n);
-  p.ibcount = dev.alloc<std::int32_t>(2 * cells);
-  p.obx = dev.alloc<double>(2 * n);
-  p.oby = dev.alloc<double>(2 * n);
-  p.obvx = dev.alloc<double>(2 * n);
-  p.obvy = dev.alloc<double>(2 * n);
-  p.obcount = dev.alloc<std::int32_t>(2 * cells);
-  std::fill(p.count.begin(), p.count.end(), 0);
-  std::fill(p.hcount.begin(), p.hcount.end(), 0);
-  std::fill(p.ibcount.begin(), p.ibcount.end(), 0);
-  std::fill(p.obcount.begin(), p.obcount.end(), 0);
-  for (int r = 0; r < rpd; ++r) {
-    init_cell(cfg, node_id * rpd + r, p.cell(r));
-    p.count[static_cast<size_t>(r)] = cfg.particles_per_cell;
+Store make_store(core::Arena& arena, const Config& cfg, int cells, int first_cell,
+                 bool inbox) {
+  const int cap = cfg.capacity();
+  Store s;
+  s.cell = Slots(arena, cells, core::kCellSlot, kFields, 1, cap);
+  s.halo = Slots(arena, cells, core::kXDirs, kHaloFields, 1, cap);
+  if (inbox) s.inbox = Slots(arena, cells, core::kXDirs, kFields, 1, cap);
+  s.outbox = Slots(arena, cells, core::kXDirs, kFields, 1, cap);
+  for (int c = 0; c < cells; ++c) {
+    init_cell(cfg, first_cell + c, view(s.cell, c, kSelf));
+    s.cell.count(c, kSelf) = cfg.particles_per_cell;
   }
-  return p;
+  return s;
 }
 
-Result collect(const Config& cfg, int rpd, std::vector<DeviceParticles>& devs) {
-  Result res;
-  for (auto& p : devs) {
-    for (int r = 0; r < rpd; ++r) {
-      CellView c = p.cell(r);
-      res.total_particles += c.count;
-      for (int i = 0; i < c.count; ++i) {
-        res.checksum += std::abs(c.x[i]) + std::abs(c.y[i]);
-        res.momentum_x += c.vx[i];
-        res.momentum_y += c.vy[i];
-      }
-    }
-  }
-  (void)cfg;
-  return res;
+std::vector<Store> make_devices(Cluster& cluster, const Config& cfg) {
+  return core::per_node(cluster, cfg.cells_per_node, [&](core::Arena& arena, int first) {
+    return make_store(arena, cfg, cfg.cells_per_node, first, true);
+  });
+}
+
+// Copies the positions of local cell `from` into halo slot (c, dir);
+// returns the count copied.
+std::int32_t copy_halo(const Store& s, int c, int dir, int from) {
+  const std::int32_t n = s.cell.count(from, kSelf);
+  s.cell.copy(from, kSelf, 0, n, s.halo, c, dir, 0);
+  return s.halo.count(c, dir) = n;
 }
 
 }  // namespace
 
 Result reference(const Config& cfg, int num_nodes) {
-  const int cells = cfg.cells_per_node * num_nodes;
-  const int cap = cfg.capacity();
-  const double width = cells * cfg.cell_width;
-  std::vector<double> x(static_cast<size_t>(cells) * cap), y(x.size()), vx(x.size()),
-      vy(x.size());
-  std::vector<std::int32_t> count(static_cast<size_t>(cells), cfg.particles_per_cell);
-  auto cell = [&](int c) {
-    const size_t o = static_cast<size_t>(c) * cap;
-    return CellView{&x[o], &y[o], &vx[o], &vy[o], count[static_cast<size_t>(c)]};
-  };
-  for (int c = 0; c < cells; ++c) init_cell(cfg, c, cell(c));
+  const core::Grid grid{cfg.cells_per_node * num_nodes, 1, 1};
+  const int cells = grid.cells();
+  core::Arena arena;
+  const Store s = make_store(arena, cfg, cells, 0, false);
 
-  // Halo copies + outboxes, mirroring the parallel phase structure exactly.
-  std::vector<double> hx(static_cast<size_t>(2 * cells) * cap), hy(hx.size());
-  std::vector<std::int32_t> hcount(static_cast<size_t>(2 * cells), 0);
-  std::vector<double> obx(hx.size()), oby(hx.size()), obvx(hx.size()), obvy(hx.size());
-  std::vector<std::int32_t> obcount(static_cast<size_t>(2 * cells), 0);
-  auto halo = [&](int c, int side) {
-    const size_t o = (static_cast<size_t>(c) * 2 + side) * cap;
-    return CellView{&hx[o], &hy[o], nullptr, nullptr,
-                    hcount[static_cast<size_t>(c * 2 + side)]};
-  };
-  auto outbox = [&](int c, int side) {
-    const size_t o = (static_cast<size_t>(c) * 2 + side) * cap;
-    return CellView{&obx[o], &oby[o], &obvx[o], &obvy[o],
-                    obcount[static_cast<size_t>(c * 2 + side)]};
-  };
-
+  // The parallel phase structure, on one store that spans the domain.
   for (int it = 0; it < cfg.iterations; ++it) {
-    // 1) halo exchange: copy neighbor boundary cells.
+    // 1) halo exchange: copy neighbor cells' positions.
     for (int c = 0; c < cells; ++c) {
-      for (int side = 0; side < 2; ++side) {
-        const int nb = side == 0 ? c - 1 : c + 1;
-        CellView h = halo(c, side);
-        if (nb < 0 || nb >= cells) {
-          hcount[static_cast<size_t>(c * 2 + side)] = 0;
-          continue;
-        }
-        CellView src = cell(nb);
-        std::memcpy(h.x, src.x, static_cast<size_t>(src.count) * sizeof(double));
-        std::memcpy(h.y, src.y, static_cast<size_t>(src.count) * sizeof(double));
-        hcount[static_cast<size_t>(c * 2 + side)] = src.count;
-      }
+      for (int d : grid.active_dirs(c)) copy_halo(s, c, d, grid.dir2cell(c, d));
     }
     // 2) force + update (all cells, reading halo copies).
-    for (int c = 0; c < cells; ++c) {
-      force_and_update(cfg, cell(c), halo(c, 0), halo(c, 1), width);
-    }
+    for (int c = 0; c < cells; ++c) force_and_update(cfg, grid, s.cell, s.halo, c);
     // 3) sort out movers.
-    for (int c = 0; c < cells; ++c) {
-      SortResult s = sort_out(cfg, c, cell(c), &count[static_cast<size_t>(c)],
-                              outbox(c, 0), outbox(c, 1));
-      obcount[static_cast<size_t>(c * 2 + 0)] = s.left;
-      obcount[static_cast<size_t>(c * 2 + 1)] = s.right;
-    }
+    for (int c = 0; c < cells; ++c) sort_out(cfg, grid, c, s.cell, c, s.outbox);
     // 4+5) deliver and integrate (left arrivals first, then right).
-    for (int c = 0; c < cells; ++c) {
-      if (c > 0) {
-        CellView from = outbox(c - 1, 1);
-        from.count = obcount[static_cast<size_t>((c - 1) * 2 + 1)];
-        append(cell(c), &count[static_cast<size_t>(c)], from, from.count, cap);
-      }
-      if (c + 1 < cells) {
-        CellView from = outbox(c + 1, 0);
-        from.count = obcount[static_cast<size_t>((c + 1) * 2 + 0)];
-        append(cell(c), &count[static_cast<size_t>(c)], from, from.count, cap);
-      }
-    }
+    for (int c = 0; c < cells; ++c) core::integrate(grid, 0, s.cell, c, &s.outbox, s.inbox);
   }
-
-  Result res;
-  for (int c = 0; c < cells; ++c) {
-    CellView v = cell(c);
-    res.total_particles += v.count;
-    for (int i = 0; i < v.count; ++i) {
-      res.checksum += std::abs(v.x[i]) + std::abs(v.y[i]);
-      res.momentum_x += v.vx[i];
-      res.momentum_y += v.vy[i];
-    }
-  }
-  return res;
+  return core::tally<Result>(std::span(&s, 1), 2, 0.0);
 }
 
 Result run_dcuda(Cluster& cluster, const Config& cfg) {
-  const int nodes = cluster.num_nodes();
   const int rpd = cluster.ranks_per_device();
-  assert(cfg.cells_per_node == rpd && "one cell per rank");
-  const int cap = cfg.capacity();
-  const int total_cells = nodes * rpd;
-  const double width = total_cells * cfg.cell_width;
-
-  std::vector<DeviceParticles> devs;
-  for (int n = 0; n < nodes; ++n)
-    devs.push_back(make_device(cluster.device(n), cfg, rpd, n));
+  const core::Grid grid{cluster.num_nodes() * rpd, 1, 1};
+  std::vector<Store> devs = make_devices(cluster, cfg);
 
   constexpr int kHaloTag = 1, kMigrateTag = 2;
 
-  Result res;
-  res.elapsed = cluster.run([&](Context& ctx) -> sim::Proc<void> {
-    const int grank = comm_rank(ctx, kCommWorld);
-    const int gsize = comm_size(ctx, kCommWorld);
+  const sim::Dur elapsed = cluster.run([&](Context& ctx) -> sim::Proc<void> {
+    const core::Neighbourhood nb(grid, comm_rank(ctx, kCommWorld));
     const int node_id = ctx.node->node();
     const int r = ctx.device_rank;
-    DeviceParticles& p = devs[static_cast<size_t>(node_id)];
+    Store& p = devs[static_cast<size_t>(node_id)];
 
     // One window per array (paper: "each rank registers one window per
     // array"). All ranks of a device register the same device-wide range.
-    Window whx = co_await win_create(ctx, kCommWorld, p.hx);
-    Window why = co_await win_create(ctx, kCommWorld, p.hy);
-    Window whc = co_await win_create(ctx, kCommWorld, p.hcount);
-    Window wibx = co_await win_create(ctx, kCommWorld, p.ibx);
-    Window wiby = co_await win_create(ctx, kCommWorld, p.iby);
-    Window wibvx = co_await win_create(ctx, kCommWorld, p.ibvx);
-    Window wibvy = co_await win_create(ctx, kCommWorld, p.ibvy);
-    Window wibc = co_await win_create(ctx, kCommWorld, p.ibcount);
-
-    const bool has_left = grank > 0;
-    const bool has_right = grank + 1 < gsize;
-    const int expected = (has_left ? 1 : 0) + (has_right ? 1 : 0);
-
-    // Slot element offsets in the *target* device's (rank-local, side)
-    // layout, for the typed span API.
-    auto slot_off = [&](int target_rank, int side) -> std::size_t {
-      const int lr = target_rank % rpd;
-      return (static_cast<size_t>(lr) * 2 + static_cast<size_t>(side)) * cap;
-    };
-    auto count_off = [&](int target_rank, int side) -> std::size_t {
-      const int lr = target_rank % rpd;
-      return static_cast<size_t>(lr) * 2 + static_cast<size_t>(side);
-    };
+    core::SlotWindows wh = co_await core::open_windows(ctx, p.halo);
+    core::SlotWindows wib = co_await core::open_windows(ctx, p.inbox);
 
     for (int it = 0; it < cfg.iterations; ++it) {
-      const std::int32_t my_count = p.count[static_cast<size_t>(r)];
-      CellView mine = p.cell(r);
-      const std::span<const double> mine_x(mine.x, static_cast<size_t>(my_count));
-      const std::span<const double> mine_y(mine.y, static_cast<size_t>(my_count));
-      const std::span<const std::int32_t> count_span(
-          &p.count[static_cast<size_t>(r)], 1);
+      const std::int32_t my_count = p.cell.count(r, kSelf);
 
-      // 1) halo exchange: my cell's positions into the neighbors' halo
-      // slots. The count put carries the notification.
+      // 1) halo exchange: my cell's x and y into the neighbors' halo slots,
+      // one put each (zero-length ones included). The count put carries the
+      // notification.
       if (cfg.exchange) {
-        if (has_left) {
-          co_await put(ctx, whx, grank - 1, slot_off(grank - 1, 1), mine_x);
-          co_await put(ctx, why, grank - 1, slot_off(grank - 1, 1), mine_y);
-          co_await put_notify(ctx, whc, grank - 1, count_off(grank - 1, 1),
-                              count_span, kHaloTag);
-        }
-        if (has_right) {
-          co_await put(ctx, whx, grank + 1, slot_off(grank + 1, 0), mine_x);
-          co_await put(ctx, why, grank + 1, slot_off(grank + 1, 0), mine_y);
-          co_await put_notify(ctx, whc, grank + 1, count_off(grank + 1, 0),
-                              count_span, kHaloTag);
-        }
-        // The put sources (cell arrays, count) are modified below; flush
-        // guarantees the runtime buffered them.
-        co_await flush(ctx);
-        co_await wait_notifications(ctx, whc, kAnySource, kHaloTag, expected);
+        co_await core::exchange(ctx, nb, p.halo, wh, kHaloTag,
+                                [&](int, core::Payloads& out) {
+                                  for (int f = 0; f < kHaloFields; ++f) {
+                                    out.add(p.cell.recs(r, kSelf, f, my_count));
+                                  }
+                                  return &p.cell.count(r, kSelf);
+                                });
       }
 
-      // 2) force computation and position update.
+      // 2) force computation and position update; 3) sort out movers into
+      // the outboxes.
       std::int64_t scans = 0;
+      std::int32_t moved = 0;
       if (cfg.compute) {
-        mine = p.cell(r);
-        scans = force_and_update(cfg, mine, p.halo(r, 0), p.halo(r, 1), width);
+        scans = force_and_update(cfg, grid, p.cell, p.halo, r);
+        moved = sort_out(cfg, grid, nb.cell, p.cell, r, p.outbox);
       }
 
-      // 3) sort out movers into the outboxes.
-      SortResult moved{};
-      if (cfg.compute) {
-        moved = sort_out(cfg, grank, p.cell(r), &p.count[static_cast<size_t>(r)],
-                         p.outbox(r, 0), p.outbox(r, 1));
-      }
-
-      // 4) communicate movers into the neighbors' inboxes.
+      // 4) communicate movers into the neighbors' inboxes: x, y, vx, vy,
+      // one put each (zero-length ones included), then the count.
       if (cfg.exchange) {
-        std::int32_t lcnt = moved.left, rcnt = moved.right;
-        if (has_left) {
-          CellView ob = p.outbox(r, 0);
-          const std::size_t n = static_cast<size_t>(lcnt);
-          const std::size_t o = slot_off(grank - 1, 1);
-          co_await put(ctx, wibx, grank - 1, o, std::span<const double>(ob.x, n));
-          co_await put(ctx, wiby, grank - 1, o, std::span<const double>(ob.y, n));
-          co_await put(ctx, wibvx, grank - 1, o, std::span<const double>(ob.vx, n));
-          co_await put(ctx, wibvy, grank - 1, o, std::span<const double>(ob.vy, n));
-          co_await put_notify(ctx, wibc, grank - 1, count_off(grank - 1, 1),
-                              std::span<const std::int32_t>(&lcnt, 1), kMigrateTag);
-        } else {
-          assert(lcnt == 0 && "mover fell off the global domain");
-        }
-        if (has_right) {
-          CellView ob = p.outbox(r, 1);
-          const std::size_t n = static_cast<size_t>(rcnt);
-          const std::size_t o = slot_off(grank + 1, 0);
-          co_await put(ctx, wibx, grank + 1, o, std::span<const double>(ob.x, n));
-          co_await put(ctx, wiby, grank + 1, o, std::span<const double>(ob.y, n));
-          co_await put(ctx, wibvx, grank + 1, o, std::span<const double>(ob.vx, n));
-          co_await put(ctx, wibvy, grank + 1, o, std::span<const double>(ob.vy, n));
-          co_await put_notify(ctx, wibc, grank + 1, count_off(grank + 1, 0),
-                              std::span<const std::int32_t>(&rcnt, 1), kMigrateTag);
-        } else {
-          assert(rcnt == 0 && "mover fell off the global domain");
-        }
-        co_await flush(ctx);  // count locals go out of scope below
-        co_await wait_notifications(ctx, wibc, kAnySource, kMigrateTag, expected);
+        co_await core::exchange(ctx, nb, p.inbox, wib, kMigrateTag,
+                                [&](int d, core::Payloads& out) {
+                                  const std::int32_t n = p.outbox.count(r, d);
+                                  for (int f = 0; f < kFields; ++f) {
+                                    out.add(p.outbox.recs(r, d, f, n));
+                                  }
+                                  return &p.outbox.count(r, d);
+                                });
       }
 
       // 5) integrate arrivals (left inbox first, then right — the same
       // order as the serial reference).
-      int arrivals = 0;
-      if (cfg.compute || cfg.exchange) {
-        for (int side = 0; side < 2; ++side) {
-          CellView ib = p.inbox(r, side);
-          append(p.cell(r), &p.count[static_cast<size_t>(r)], ib, ib.count, cap);
-          arrivals += ib.count;
-          p.ibcount[static_cast<size_t>(r) * 2 + static_cast<size_t>(side)] = 0;
-        }
-      }
+      const std::int32_t arrivals = core::integrate(grid, node_id, p.cell, r, nullptr, p.inbox);
       if (cfg.compute) {
-        co_await charge_iteration(*ctx.block, scans, my_count,
-                                  moved.left + moved.right + arrivals);
+        co_await charge_iteration(*ctx.block, scans, my_count, moved + arrivals);
       }
     }
 
     co_await barrier(ctx, kCommWorld);
-    for (Window* w : {&whx, &why, &whc, &wibx, &wiby, &wibvx, &wibvy, &wibc}) {
-      co_await win_free(ctx, *w);
-    }
+    co_await core::close_windows(ctx, wh);
+    co_await core::close_windows(ctx, wib);
   });
-  Result out = collect(cfg, rpd, devs);
-  out.elapsed = res.elapsed;
-  return out;
+  return core::tally<Result>(std::span<const Store>(devs), 2, elapsed);
 }
 
 Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
-  const int nodes = cluster.num_nodes();
   const int rpd = cluster.ranks_per_device();
-  assert(cfg.cells_per_node == rpd && "one cell per rank");
-  const int cap = cfg.capacity();
-  const int total_cells = nodes * rpd;
-  const double width = total_cells * cfg.cell_width;
+  const core::Grid grid{cluster.num_nodes() * rpd, 1, 1};
+  std::vector<Store> devs = make_devices(cluster, cfg);
 
-  std::vector<DeviceParticles> devs;
-  std::vector<std::unique_ptr<baseline::HostProgram>> progs;
-  // Host-side mirrors of the bookkeeping counters (fetched every iteration).
-  std::vector<std::vector<std::int32_t>> host_counts(static_cast<size_t>(nodes));
-  std::vector<std::vector<std::int32_t>> host_obcounts(static_cast<size_t>(nodes));
-  for (int n = 0; n < nodes; ++n) {
-    devs.push_back(make_device(cluster.device(n), cfg, rpd, n));
-    progs.push_back(
-        std::make_unique<baseline::HostProgram>(cluster.device(n), cluster.mpi(n)));
-    host_counts[static_cast<size_t>(n)].resize(static_cast<size_t>(rpd));
-    host_obcounts[static_cast<size_t>(n)].resize(static_cast<size_t>(2 * rpd));
-  }
-
-  Result res;
-  res.elapsed = cluster.run_hosts([&](int n) -> sim::Proc<void> {
-    baseline::HostProgram& hp = *progs[static_cast<size_t>(n)];
-    DeviceParticles& p = devs[static_cast<size_t>(n)];
+  const sim::Dur elapsed = cluster.run_hosts([&](int n) -> sim::Proc<void> {
+    baseline::HostProgram hp(cluster.device(n), cluster.mpi(n));
+    Store& p = devs[static_cast<size_t>(n)];
     auto& dev = cluster.device(n);
-    const bool has_left = n > 0, has_right = n + 1 < nodes;
     const gpu::LaunchConfig lc{rpd, 128, 26};
     std::vector<std::int64_t> scans(static_cast<size_t>(rpd), 0);
     std::vector<std::int32_t> particles(static_cast<size_t>(rpd), 0);
-    std::vector<std::int32_t> moved(static_cast<size_t>(rpd), 0);
+    // Host-side mirrors of the bookkeeping counters (fetched every iteration).
+    std::vector<std::int32_t> host_counts(static_cast<size_t>(rpd));
+    std::vector<std::int32_t> host_obcounts(p.outbox.counts().size());
+    // Device-boundary payloads into slot set `to` (halo: x, y of the cell
+    // itself; migration: all four outbox fields), one message per field,
+    // zero-length ones included. The count went first under `tag`.
+    auto payload = [&](const Slots& from, const Slots& to, int tag) {
+      return [&, from, to, tag](const core::Boundary& b, std::vector<mpi::Request>& pend) {
+        const int src_dir = from.has(b.dir) ? b.dir : kSelf;
+        for (int f = 0; f < to.fields(); ++f) {
+          pend.push_back(hp.isend(b.peer_node, tag + 1 + f,
+                                  dev.ref(from.recs(b.r, src_dir, f, b.sent))));
+        }
+        for (int f = 0; f < to.fields(); ++f) {
+          pend.push_back(hp.irecv(b.peer_node, tag + 1 + f,
+                                  dev.ref(to.recs(b.r, b.dir, f, b.received))));
+        }
+      };
+    };
 
     for (int it = 0; it < cfg.iterations; ++it) {
       // Bookkeeping counters to the host (the paper calls this out as an
       // MPI-CUDA overhead: D2H fetch every iteration).
-      co_await hp.copy(gpu::mem_ref(std::span<std::int32_t>(
-                           host_counts[static_cast<size_t>(n)])),
-                       dev.ref(p.count));
+      co_await hp.copy(gpu::mem_ref(std::span<std::int32_t>(host_counts)),
+                       dev.ref(p.cell.counts()));
 
       if (cfg.exchange) {
-        // 1) halo exchange at the device boundary: count, x, y per direction.
-        std::int32_t lcount = host_counts[static_cast<size_t>(n)][0];
-        std::int32_t rcount = host_counts[static_cast<size_t>(n)][static_cast<size_t>(rpd - 1)];
-        std::int32_t in_l = 0, in_r = 0;  // incoming counts
+        // 1) halo exchange at the device boundary: the count, then x and y
+        // (zero-length included) per direction.
         const int tag = 100 + it;
-        std::vector<mpi::Request> pend;
-        if (has_left) {
-          pend.push_back(hp.isend(n - 1, tag, gpu::mem_ref(&lcount, 1)));
-          pend.push_back(hp.irecv(n - 1, tag, gpu::mem_ref(&in_l, 1)));
-        }
-        if (has_right) {
-          pend.push_back(hp.isend(n + 1, tag, gpu::mem_ref(&rcount, 1)));
-          pend.push_back(hp.irecv(n + 1, tag, gpu::mem_ref(&in_r, 1)));
-        }
-        co_await mpi::wait_all(std::move(pend));
-        // Sized data transfers into the edge ranks' outer halo slots.
-        std::vector<mpi::Request> pend2;
-        auto slot = [&](std::span<double> arr, int lr, int side) {
-          return dev.ref(arr.subspan((static_cast<size_t>(lr) * 2 + side) * cap,
-                                     static_cast<size_t>(cap)));
-        };
-        if (has_left) {
-          auto cx = dev.ref(p.x.subspan(0, static_cast<size_t>(lcount)));
-          auto cy = dev.ref(p.y.subspan(0, static_cast<size_t>(lcount)));
-          pend2.push_back(hp.isend(n - 1, tag + 1, cx));
-          pend2.push_back(hp.isend(n - 1, tag + 2, cy));
-          auto hx = slot(p.hx, 0, 0).subspan(0, static_cast<size_t>(in_l) * 8);
-          auto hy = slot(p.hy, 0, 0).subspan(0, static_cast<size_t>(in_l) * 8);
-          pend2.push_back(hp.irecv(n - 1, tag + 1, hx));
-          pend2.push_back(hp.irecv(n - 1, tag + 2, hy));
-          p.hcount[0] = in_l;
-        }
-        if (has_right) {
-          const size_t eo = static_cast<size_t>(rpd - 1) * cap;
-          auto cx = dev.ref(p.x.subspan(eo, static_cast<size_t>(rcount)));
-          auto cy = dev.ref(p.y.subspan(eo, static_cast<size_t>(rcount)));
-          pend2.push_back(hp.isend(n + 1, tag + 1, cx));
-          pend2.push_back(hp.isend(n + 1, tag + 2, cy));
-          auto hx = slot(p.hx, rpd - 1, 1).subspan(0, static_cast<size_t>(in_r) * 8);
-          auto hy = slot(p.hy, rpd - 1, 1).subspan(0, static_cast<size_t>(in_r) * 8);
-          pend2.push_back(hp.irecv(n + 1, tag + 1, hx));
-          pend2.push_back(hp.irecv(n + 1, tag + 2, hy));
-          p.hcount[static_cast<size_t>(rpd - 1) * 2 + 1] = in_r;
-        }
-        co_await mpi::wait_all(std::move(pend2));
+        co_await core::boundary_exchange(
+            hp, grid, p.halo, [&](int r, int) { return &host_counts[static_cast<size_t>(r)]; },
+            [&](int, int) { return tag; }, payload(p.cell, p.halo, tag));
 
         // Intra-device halos: copy neighbor cells into the halo slots.
         co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r = blk.block_id();
-          for (int side = 0; side < 2; ++side) {
-            const int nb = r + (side == 0 ? -1 : 1);
-            if (nb < 0 || nb >= rpd) continue;  // device edge: MPI filled it
-            CellView src = p.cell(nb);
-            CellView dst = p.halo(r, side);
-            std::memcpy(dst.x, src.x, static_cast<size_t>(src.count) * sizeof(double));
-            std::memcpy(dst.y, src.y, static_cast<size_t>(src.count) * sizeof(double));
-            p.hcount[static_cast<size_t>(r) * 2 + static_cast<size_t>(side)] = src.count;
-            co_await blk.mem_traffic(4.0 * src.count * sizeof(double));
+          for (int d : grid.active_dirs(n * rpd + r)) {
+            const int t = grid.dir2cell(n * rpd + r, d);
+            if (t / rpd != n) continue;  // device edge: MPI filled it
+            const std::int32_t cnt = copy_halo(p, r, d, t % rpd);
+            co_await blk.mem_traffic(4.0 * cnt * sizeof(double));
           }
         }, "halo");
       }
@@ -595,9 +355,8 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
       if (cfg.compute) {
         co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r = blk.block_id();
-          particles[static_cast<size_t>(r)] = p.count[static_cast<size_t>(r)];
-          scans[static_cast<size_t>(r)] =
-              force_and_update(cfg, p.cell(r), p.halo(r, 0), p.halo(r, 1), width);
+          particles[static_cast<size_t>(r)] = p.cell.count(r, kSelf);
+          scans[static_cast<size_t>(r)] = force_and_update(cfg, grid, p.cell, p.halo, r);
           co_await blk.compute_flops(static_cast<double>(scans[static_cast<size_t>(r)]) * 12.0);
           co_await blk.mem_traffic(static_cast<double>(scans[static_cast<size_t>(r)]) * 2.0 *
                                    sizeof(double));
@@ -606,109 +365,38 @@ Result run_mpi_cuda(Cluster& cluster, const Config& cfg) {
         // 3) sort kernel: movers into outboxes.
         co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
           const int r = blk.block_id();
-          SortResult s = sort_out(cfg, n * rpd + r, p.cell(r),
-                                  &p.count[static_cast<size_t>(r)], p.outbox(r, 0),
-                                  p.outbox(r, 1));
-          p.obcount[static_cast<size_t>(r) * 2] = s.left;
-          p.obcount[static_cast<size_t>(r) * 2 + 1] = s.right;
-          moved[static_cast<size_t>(r)] = s.left + s.right;
-          co_await blk.mem_traffic(
-              static_cast<double>(p.count[static_cast<size_t>(r)]) * 8.0 *
-              sizeof(double));
+          sort_out(cfg, grid, n * rpd + r, p.cell, r, p.outbox);
+          co_await blk.mem_traffic(static_cast<double>(p.cell.count(r, kSelf)) * 8.0 *
+                                   sizeof(double));
         }, "sort");
       }
 
       if (cfg.exchange) {
         // 4) migrate across the device boundary: fetch the outbox counters
-        // from the device first (the per-iteration D2H the paper calls out).
-        co_await hp.copy(gpu::mem_ref(std::span<std::int32_t>(
-                             host_obcounts[static_cast<size_t>(n)])),
-                         dev.ref(p.obcount));
+        // from the device first (the per-iteration D2H the paper calls out),
+        // then the count and x, y, vx, vy per direction.
+        co_await hp.copy(gpu::mem_ref(std::span<std::int32_t>(host_obcounts)),
+                         dev.ref(p.outbox.counts()));
         const int tag = 500 + it;
-        std::int32_t out_l = host_obcounts[static_cast<size_t>(n)][0];
-        std::int32_t out_r =
-            host_obcounts[static_cast<size_t>(n)][static_cast<size_t>(rpd - 1) * 2 + 1];
-        if (!cfg.compute) out_l = out_r = 0;
-        std::int32_t in_l = 0, in_r = 0;
-        std::vector<mpi::Request> pend;
-        if (has_left) {
-          pend.push_back(hp.isend(n - 1, tag, gpu::mem_ref(&out_l, 1)));
-          pend.push_back(hp.irecv(n - 1, tag, gpu::mem_ref(&in_l, 1)));
-        }
-        if (has_right) {
-          pend.push_back(hp.isend(n + 1, tag, gpu::mem_ref(&out_r, 1)));
-          pend.push_back(hp.irecv(n + 1, tag, gpu::mem_ref(&in_r, 1)));
-        }
-        co_await mpi::wait_all(std::move(pend));
-        std::vector<mpi::Request> pend2;
-        auto seg = [&](std::span<double> arr, int lr, int side, std::int32_t cnt) {
-          return dev.ref(arr.subspan((static_cast<size_t>(lr) * 2 + side) * cap,
-                                     static_cast<size_t>(cnt)));
-        };
-        if (has_left) {
-          pend2.push_back(hp.isend(n - 1, tag + 1, seg(p.obx, 0, 0, out_l)));
-          pend2.push_back(hp.isend(n - 1, tag + 2, seg(p.oby, 0, 0, out_l)));
-          pend2.push_back(hp.isend(n - 1, tag + 3, seg(p.obvx, 0, 0, out_l)));
-          pend2.push_back(hp.isend(n - 1, tag + 4, seg(p.obvy, 0, 0, out_l)));
-          pend2.push_back(hp.irecv(n - 1, tag + 1, seg(p.ibx, 0, 0, in_l)));
-          pend2.push_back(hp.irecv(n - 1, tag + 2, seg(p.iby, 0, 0, in_l)));
-          pend2.push_back(hp.irecv(n - 1, tag + 3, seg(p.ibvx, 0, 0, in_l)));
-          pend2.push_back(hp.irecv(n - 1, tag + 4, seg(p.ibvy, 0, 0, in_l)));
-          p.ibcount[0] = in_l;
-        }
-        if (has_right) {
-          const int e = rpd - 1;
-          pend2.push_back(hp.isend(n + 1, tag + 1, seg(p.obx, e, 1, out_r)));
-          pend2.push_back(hp.isend(n + 1, tag + 2, seg(p.oby, e, 1, out_r)));
-          pend2.push_back(hp.isend(n + 1, tag + 3, seg(p.obvx, e, 1, out_r)));
-          pend2.push_back(hp.isend(n + 1, tag + 4, seg(p.obvy, e, 1, out_r)));
-          pend2.push_back(hp.irecv(n + 1, tag + 1, seg(p.ibx, e, 1, in_r)));
-          pend2.push_back(hp.irecv(n + 1, tag + 2, seg(p.iby, e, 1, in_r)));
-          pend2.push_back(hp.irecv(n + 1, tag + 3, seg(p.ibvx, e, 1, in_r)));
-          pend2.push_back(hp.irecv(n + 1, tag + 4, seg(p.ibvy, e, 1, in_r)));
-          p.ibcount[static_cast<size_t>(e) * 2 + 1] = in_r;
-        }
-        co_await mpi::wait_all(std::move(pend2));
+        co_await core::boundary_exchange(
+            hp, grid, p.inbox,
+            [&](int r, int d) { return &host_obcounts[p.outbox.index(r, d)]; },
+            [&](int, int) { return tag; }, payload(p.outbox, p.inbox, tag));
       }
 
       // 5) integrate arrivals (intra-device movers come straight from the
-      // neighbor outboxes; device-edge inbox slots were filled by MPI).
+      // neighbor outboxes; device-edge inbox slots were filled by MPI), left
+      // first, then right (matches dCUDA and the reference).
       co_await hp.launch(lc, [&](gpu::BlockCtx& blk) -> sim::Proc<void> {
         const int r = blk.block_id();
-        int arrivals = 0;
-        // Left arrivals first, then right (matches dCUDA and the reference).
-        if (r > 0 && cfg.compute) {
-          CellView from = p.outbox(r - 1, 1);
-          const int cnt = p.obcount[static_cast<size_t>(r - 1) * 2 + 1];
-          append(p.cell(r), &p.count[static_cast<size_t>(r)], from, cnt, cap);
-          arrivals += cnt;
-        } else if (r == 0 && cfg.exchange && has_left) {
-          CellView from = p.inbox(0, 0);
-          append(p.cell(r), &p.count[static_cast<size_t>(r)], from, from.count, cap);
-          arrivals += from.count;
-          p.ibcount[0] = 0;
-        }
-        if (r + 1 < rpd && cfg.compute) {
-          CellView from = p.outbox(r + 1, 0);
-          const int cnt = p.obcount[static_cast<size_t>(r + 1) * 2];
-          append(p.cell(r), &p.count[static_cast<size_t>(r)], from, cnt, cap);
-          arrivals += cnt;
-        } else if (r + 1 == rpd && cfg.exchange && has_right) {
-          CellView from = p.inbox(rpd - 1, 1);
-          append(p.cell(r), &p.count[static_cast<size_t>(r)], from, from.count, cap);
-          arrivals += from.count;
-          p.ibcount[static_cast<size_t>(rpd - 1) * 2 + 1] = 0;
-        }
+        const std::int32_t arrivals = core::integrate(grid, n, p.cell, r, &p.outbox, p.inbox);
         co_await blk.mem_traffic(arrivals * 8.0 * sizeof(double) +
                                  particles[static_cast<size_t>(r)] * 2.0 *
                                      sizeof(double));
       }, "integrate");
     }
   });
-
-  Result out = collect(cfg, rpd, devs);
-  out.elapsed = res.elapsed;
-  return out;
+  return core::tally<Result>(std::span<const Store>(devs), 2, elapsed);
 }
 
 }  // namespace dcuda::apps::particles
