@@ -2,9 +2,11 @@
 //
 // Unlike the simulated-time figure benches, this binary measures *real* time:
 // how fast the event engine schedules, orders, dispatches, and cancels
-// events. It exercises only the public sim:: API, so the same source builds
-// against any engine revision — scripts/bench_perf.sh uses it to record
-// before/after numbers into BENCH_engine.json.
+// events. Apart from the circular_queue scenario, which drives the device
+// command queue (queue::CircularQueue) over local transport, it exercises
+// only the public sim:: API, so the same source builds against any engine
+// revision — scripts/bench_perf.sh uses it to record before/after numbers
+// into BENCH_engine.json.
 //
 // Output is a single JSON object on stdout; human-readable rates go to
 // stderr. Scenario sizes scale with DCUDA_MICRO_SCALE (default 1).
@@ -18,6 +20,8 @@
 #include <vector>
 
 #include "bench/window_stats.h"
+#include "queue/circular_queue.h"
+#include "runtime/protocol.h"
 #include "sim/channel.h"
 #include "sim/env_config.h"
 #include "sim/proc.h"
@@ -261,6 +265,25 @@ std::uint64_t channel_stream(int msgs) {
   return s.events_processed();
 }
 
+// Circular command queue over local transport: one producer enqueues
+// commands into a 16-slot queue, one consumer drains it, so credit stalls
+// and the queue's own events dominate.
+std::uint64_t circular_queue(int n) {
+  sim::Simulation s;
+  queue::CircularQueue<rt::Command> q(s, 16, queue::local_transport(s));
+  auto producer = [&]() -> sim::Proc<void> {
+    const rt::Command c;
+    for (int i = 0; i < n; ++i) co_await q.enqueue(c);
+  };
+  auto consumer = [&]() -> sim::Proc<void> {
+    for (int i = 0; i < n; ++i) (void)co_await q.dequeue();
+  };
+  s.spawn(producer(), "p");
+  s.spawn(consumer(), "c");
+  s.run();
+  return s.events_processed();
+}
+
 }  // namespace
 }  // namespace dcuda
 
@@ -276,6 +299,7 @@ int main() {
   results.push_back(scenario("resource_churn", 2 * k, [] { return resource_churn(4096); }));
   results.push_back(scenario("fifo_contention", 4 * k, [] { return fifo_contention(8192); }));
   results.push_back(scenario("channel_stream", 4 * k, [] { return channel_stream(32768); }));
+  results.push_back(scenario("circular_queue", 4 * k, [] { return circular_queue(10000); }));
   const int nt = engine_threads();
   sim::Simulation::WindowStats ws;
   results.push_back(scenario("sharded_churn", 2 * k, [nt, &ws] {
