@@ -10,20 +10,24 @@
 //    the interior fabric has headroom; striping across 2 rails doubles the
 //    injection bandwidth and the ECMP spread keeps the shared uplinks
 //    below capacity. This is the gated metric: striping must be >= 1.3x
-//    (scripts/bench_perf.sh, BENCH_net.json "striping_speedup").
+//    (ctest striping_gate, scripts/bench_perf.sh, BENCH_net.json
+//    "striping_speedup").
 //  * incast k — k senders converge on one receiver. The receiver's egress
 //    link caps the aggregate, so the striping gain degrades from ~2x at
 //    k=1 toward 1x once the hot spot saturates: the degradation curve
 //    EXPERIMENTS.md tabulates.
 //
+// The workload is pinned at 64 messages per sender whatever
+// DCUDA_BENCH_ITERS says: shorter streams are dominated by the multi-hop
+// pipeline fill, not by injection bandwidth, and the gate must measure the
+// same run EXPERIMENTS.md quotes.
+//
 // Output is a single JSON object on stdout; human-readable rows go to
 // stderr. Simulated time is deterministic — one run per cell.
 
-#include <algorithm>
 #include <cstdio>
 #include <limits>
 
-#include "bench/common.h"
 #include "net/fabric.h"
 #include "net/topology.h"
 #include "sim/simulation.h"
@@ -33,6 +37,7 @@ namespace {
 
 constexpr int kNodes = 8;
 constexpr double kMsgBytes = 64.0 * 1024.0;
+constexpr int kMsgsPerSender = 64;
 
 net::TopoConfig rail_fabric(int rails) {
   net::TopoConfig tc;
@@ -45,16 +50,17 @@ net::TopoConfig rail_fabric(int rails) {
   return tc;
 }
 
-// Makespan of `msgs` 64 kB messages per sender, all injected at t=0.
-// senders stream to (sender + 4) in pairwise mode; to node 4 in incast mode.
-double makespan(int rails, int senders, bool incast, int msgs) {
+// Makespan of kMsgsPerSender 64 kB messages per sender, all injected at
+// t=0. senders stream to (sender + 4) in pairwise mode; to node 4 in incast
+// mode.
+double makespan(int rails, int senders, bool incast) {
   sim::Simulation sim;
   sim::NetConfig nc;
   nc.topo = rail_fabric(rails);
   net::Fabric fabric(sim, kNodes, nc);
   for (int s = 0; s < senders; ++s) {
-    sim.schedule(0.0, [&fabric, s, incast, msgs]() {
-      for (int i = 0; i < msgs; ++i) {
+    sim.schedule(0.0, [&fabric, s, incast]() {
+      for (int i = 0; i < kMsgsPerSender; ++i) {
         net::Packet p;
         p.src = s;
         p.dst = incast ? 4 : s + 4;
@@ -79,15 +85,12 @@ double makespan(int rails, int senders, bool incast, int msgs) {
 
 int main() {
   using namespace dcuda;
-  // Steady-state floor: very short streams are dominated by the multi-hop
-  // pipeline fill, not by injection bandwidth.
-  const int msgs = std::max(32, bench::iterations(64));
   std::fprintf(stderr,
                "# ablation_striping: rail striping vs single rail, fat tree "
-               "arity 4, %d x 64 kB msgs/sender\n", msgs);
+               "arity 4, %d x 64 kB msgs/sender\n", kMsgsPerSender);
 
-  const double pair1 = makespan(1, 4, /*incast=*/false, msgs);
-  const double pair2 = makespan(2, 4, /*incast=*/false, msgs);
+  const double pair1 = makespan(1, 4, /*incast=*/false);
+  const double pair2 = makespan(2, 4, /*incast=*/false);
   const double striping_speedup = pair1 / pair2;
   std::fprintf(stderr, "pairwise   1 rail %8.1f us   2 rails %8.1f us   "
                "speedup %.2fx\n", pair1 * 1e6, pair2 * 1e6, striping_speedup);
@@ -95,8 +98,8 @@ int main() {
   struct Cell { int fanin; double t1, t2; };
   Cell curve[] = {{1, 0, 0}, {2, 0, 0}, {4, 0, 0}};
   for (Cell& c : curve) {
-    c.t1 = makespan(1, c.fanin, /*incast=*/true, msgs);
-    c.t2 = makespan(2, c.fanin, /*incast=*/true, msgs);
+    c.t1 = makespan(1, c.fanin, /*incast=*/true);
+    c.t2 = makespan(2, c.fanin, /*incast=*/true);
     std::fprintf(stderr, "incast %d   1 rail %8.1f us   2 rails %8.1f us   "
                  "speedup %.2fx\n", c.fanin, c.t1 * 1e6, c.t2 * 1e6,
                  c.t1 / c.t2);
@@ -107,7 +110,7 @@ int main() {
   std::printf("  \"config\": {\"nodes\": %d, \"topology\": \"fattree\", "
               "\"arity\": 4, \"link_bandwidth_gbs\": 12.0, "
               "\"msg_bytes\": 65536, \"msgs_per_sender\": %d},\n",
-              kNodes, msgs);
+              kNodes, kMsgsPerSender);
   std::printf("  \"pairwise\": {\"time_1rail_us\": %.3f, "
               "\"time_2rail_us\": %.3f},\n", pair1 * 1e6, pair2 * 1e6);
   std::printf("  \"incast\": [\n");

@@ -5,7 +5,9 @@
 #  2. every sim::MachineConfig field (src/sim/config.h) is documented in
 #     docs/API.md;
 #  3. every DCUDA_* environment variable referenced by sources or scripts
-#     is documented somewhere under docs/ (or README/EXPERIMENTS/ROADMAP).
+#     is documented somewhere under docs/ (or README/EXPERIMENTS/ROADMAP);
+#  4. numbers the docs quote from a committed BENCH_*.json record equal the
+#     record's values at the quoted precision.
 # Run manually from the repo root: scripts/check_docs.sh [repo-root]
 set -euo pipefail
 
@@ -70,10 +72,50 @@ for v in $env_vars; do
   fi
 done
 
+# -- Quoted numbers vs committed records -----------------------------------
+# check_row DOC ROW RECORD JQ_PATH...: the first table row of DOC whose
+# label cell matches ROW quotes, after its label, one number per JQ_PATH;
+# each must equal the RECORD value rounded to the quoted decimals.
+check_row() {
+  local doc="$1" row="$2" record="$3"
+  shift 3
+  local line
+  line="$(grep -m1 -E "^\| $row \|" "$ROOT/$doc" || true)"
+  if [ -z "$line" ]; then
+    echo "FAIL: $doc has no table row '$row'" >&2
+    missing=$((missing + 1))
+    return
+  fi
+  local quoted=()
+  read -r -a quoted <<< "$(cut -d'|' -f3- <<< "$line" \
+                            | grep -oE '[0-9]+(\.[0-9]+)?' | tr '\n' ' ')"
+  local i=0 q path value frac decimals rounded
+  for path in "$@"; do
+    q="${quoted[$i]:-}"
+    i=$((i + 1))
+    value="$(jq -r "$path" "$ROOT/$record")"
+    frac=""
+    [[ "$q" == *.* ]] && frac="${q#*.}"
+    decimals=${#frac}
+    rounded="$(awk -v v="$value" -v d="$decimals" 'BEGIN { printf "%.*f", d, v }')"
+    if [ "$q" != "$rounded" ]; then
+      echo "FAIL: $doc row '$row' quotes '${q:-nothing}' where $record $path is $value ($rounded)" >&2
+      missing=$((missing + 1))
+    fi
+  done
+}
+check_row docs/BACKENDS.md "device-local" BENCH_backend.json \
+  .local_latency_us.host_loop .local_latency_us.device_initiated .speedup
+check_row docs/BACKENDS.md "remote \(2 nodes\)" BENCH_backend.json \
+  .remote_latency_us.host_loop .remote_latency_us.device_initiated \
+  .remote_speedup
+check_row EXPERIMENTS.md "pairwise leaf→leaf \(4 streams\)" BENCH_net.json \
+  .pairwise.time_1rail_us .pairwise.time_2rail_us .striping_speedup
+
 if [ "$missing" -ne 0 ]; then
-  echo "docs check failed: $missing undocumented item(s)" >&2
-  echo "update docs/FIGURES.md, docs/API.md, or the env-var docs" >&2
+  echo "docs check failed: $missing undocumented or mismatched item(s)" >&2
+  echo "update docs/FIGURES.md, docs/API.md, the env-var docs, or the quoted numbers" >&2
   exit 1
 fi
 
-echo "docs check passed: benchmarks, MachineConfig fields, and DCUDA_* env vars are documented"
+echo "docs check passed: benchmarks, MachineConfig fields, DCUDA_* env vars and quoted record numbers are consistent"

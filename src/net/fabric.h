@@ -2,37 +2,39 @@
 
 // Cluster interconnect model (x EDR InfiniBand class).
 //
-// Every node owns a full-duplex NIC. Outgoing messages serialize on the
-// sender's transmit lane at min(link bandwidth, per-message rate cap) and
+// Every node owns a full-duplex NIC. Outgoing messages serialize on one of
+// the sender's rail transmit lanes at min(link bandwidth, per-message rate
+// cap), cross the pair's route (sim::NetConfig::topo, docs/TOPOLOGY.md) and
 // arrive in the destination's receive mailbox after wire latency plus
 // per-message software overhead at both ends. Delivery between a fixed
 // (src, dst) pair is FIFO — the non-overtaking property MPI matching relies
 // on.
 //
+// Every topology, the flat default included, runs one send path. The flat
+// fabric is the degenerate topology: one empty route per pair (direct wire
+// delivery) and, with one rail, one injection lane per NIC. A fat tree or
+// torus expands each transmission into per-hop switch traversals over
+// shared-bandwidth links (net/topology.h), routes are chosen
+// deterministically per message over the equal-cost candidates
+// (net/router.h), and rails > 1 stripes a pair's messages across
+// independent injection lanes. The per-connection resequencer at the
+// receiving rail mux (net/rail.h) is the only ordering mechanism: it
+// releases each pair's packets in send order, whatever jitter, rails or
+// paths did to them on the wire. An unperturbed flat run delivers in order
+// anyway, so the mux passes every packet straight through.
+//
 // The wire is perfectly reliable by default. Arming a net::FaultConfig
 // (any nonzero fault probability) turns it lossy — packets may be dropped,
-// duplicated, corrupted, delayed past the FIFO clamp, or eaten by a
-// transient link outage — and simultaneously arms the NIC-level go-back-N
-// recovery protocol that restores the exactly-once in-order delivery
-// contract: per-(src, dst) connection sequence numbers, a bounded send
-// window with sender-side retention, cumulative acks, timeout +
-// exponential-backoff retransmission, and duplicate suppression at the
-// receiver. Upper layers (MPI matching, the runtime's eager channel) see
-// the same per-pair FIFO mailbox stream either way; only timing differs.
-// With faults disabled the historical code path runs untouched — wire
-// format and event schedule stay byte-identical (DESIGN.md §8).
-//
-// A non-flat sim::NetConfig::topo (docs/TOPOLOGY.md) replaces the per-pair
-// pipe with a topology: each transmission expands into per-hop switch
-// traversals over shared-bandwidth links (net/topology.h), routes are
-// chosen deterministically per message over the equal-cost candidates
-// (net/router.h), and rails > 1 stripes a pair's messages across
-// independent NIC injection lanes. A per-connection resequencer at the
-// receiving rail mux (net/rail.h) restores the cross-rail/cross-path order
-// before packets reach the FIFO mailbox stream; with faults armed the
-// go-back-N machinery runs one connection per (src, dst, rail) lane
-// underneath it. The flat single-rail default never touches any of this —
-// the historical paths above run byte-identically.
+// duplicated, corrupted, delayed by a spike, or eaten by a transient link
+// outage — and simultaneously arms the NIC-level go-back-N recovery
+// protocol underneath the rail mux: one connection per (src, dst, rail)
+// lane with sequence numbers, a bounded send window with sender-side
+// retention, cumulative acks, timeout + exponential-backoff retransmission,
+// and duplicate suppression at the receiver. Upper layers (MPI matching,
+// the runtime's eager channel) see the same per-pair FIFO mailbox stream
+// either way; only timing differs. With faults disabled no header, coin or
+// timer exists — wire format and event schedule stay byte-identical
+// (DESIGN.md §8).
 
 #include <any>
 #include <array>
@@ -56,9 +58,9 @@ namespace dcuda::net {
 // Receive channels: every NIC demultiplexes arrivals into per-protocol
 // mailboxes. Channel 0 is the MPI endpoint's (mpi::Endpoint::rx_loop);
 // channel 1 carries the runtime's eager/aggregated put batches
-// (rt::NodeRuntime::eager_loop). Both share the transmit lane and the
-// per-(src, dst) FIFO delivery clamp, so the non-overtaking guarantee
-// holds across channels.
+// (rt::NodeRuntime::eager_loop). Both share the transmit lanes and the
+// per-(src, dst) rail-mux sequence, so the non-overtaking guarantee holds
+// across channels.
 inline constexpr int kMpiChannel = 0;
 inline constexpr int kRuntimeChannel = 1;
 inline constexpr int kNumChannels = 2;
@@ -74,8 +76,8 @@ struct Packet {
   // Reliable-delivery sequence per (src, dst, rail) connection, assigned by
   // the sending NIC while fault injection is armed; 0 on the reliable path.
   std::uint64_t seq = 0;
-  // Topology path only: per-(src, dst) mux sequence (the resequencing key
-  // at the receiving rail mux) and the rail the packet was striped onto.
+  // Per-(src, dst) mux sequence (the resequencing key at the receiving rail
+  // mux) and the rail the packet was striped onto, assigned by send().
   std::uint64_t mux_seq = 0;
   int rail = 0;
 };
@@ -110,16 +112,6 @@ class Fabric {
   // True when any fault probability is nonzero and the go-back-N recovery
   // protocol is running.
   bool faults_armed() const { return armed_; }
-
-  // Topology layer (docs/TOPOLOGY.md). topology() is null on the flat
-  // single-rail default — the historical per-pair pipe.
-  bool topology_active() const { return topo_ != nullptr; }
-  const Topology* topology() const { return topo_.get(); }
-  int rails() const { return rails_; }
-  // Cumulative bytes carried by one interior link (congestion diagnostics).
-  double link_bytes(int link) const {
-    return links_[static_cast<size_t>(link)].bytes;
-  }
 
   // Aggregate fault-injection and recovery counters (docs/TESTING.md
   // "Loss battery"; the fault self-tests and ablation_faults read these).
@@ -167,41 +159,35 @@ class Fabric {
     std::uint64_t expected = 0;
   };
 
-  // Shared-bandwidth interior link (topology path): transmissions
-  // serialize against `free`. Touched only from the owning switch's shard.
-  struct LinkState {
-    sim::Time free = 0.0;
-    double bytes = 0.0;
-  };
-
   struct Nic {
-    Nic(sim::Simulation& s, int num_nodes)
+    Nic(sim::Simulation& s, int num_nodes, int rails)
         : rx{sim::Mailbox<Packet>(s), sim::Mailbox<Packet>(s)},
-          pair_deliver(static_cast<size_t>(num_nodes), 0.0),
-          pair_seq(static_cast<size_t>(num_nodes), 0) {}
-    sim::Time tx_free = 0.0;
+          rail_sched(rails),
+          mux_next(static_cast<size_t>(num_nodes), 0),
+          reseq(static_cast<size_t>(num_nodes)) {}
     double bytes = 0.0;
     std::uint64_t msgs = 0;
     std::array<sim::Mailbox<Packet>, kNumChannels> rx;
-    // Per-destination FIFO state: last scheduled delivery time (the clamp
-    // that keeps the non-overtaking guarantee under jitter) and a wire
-    // sequence number reported to the invariant oracle at delivery.
-    std::vector<sim::Time> pair_deliver;
-    std::vector<std::uint64_t> pair_seq;
-    // Reliable-connection state, allocated only while faults are armed;
-    // indexed by peer * rails + rail (rails == 1 off the topology path).
-    std::vector<TxConn> tx_conn;  // sender side, per (destination, rail)
-    std::vector<RxConn> rx_conn;  // receiver side, per (origin, rail)
-    // Topology path only: rail injection lanes + striping, the sender's
-    // per-destination mux sequence, and the receive-side resequencer per
-    // origin (net/rail.h).
-    std::unique_ptr<RailScheduler> rail_sched;
+    // Rail injection lanes + striping, the sender's per-destination mux
+    // sequence, and the receive-side resequencer per origin (net/rail.h).
+    RailScheduler rail_sched;
     std::vector<std::uint64_t> mux_next;
     std::vector<Resequencer<Packet>> reseq;
+    // Reliable-connection state, allocated only while faults are armed;
+    // indexed by peer * rails + rail.
+    std::vector<TxConn> tx_conn;  // sender side, per (destination, rail)
+    std::vector<RxConn> rx_conn;  // receiver side, per (origin, rail)
   };
 
-  // -- Topology path (non-flat topology or rails > 1) --------------------
-  void send_topo(Packet p, sim::Rate rate_cap);  // faults off
+  // Serialize `bytes` on the source's rail lane, after the sender overhead
+  // and behind earlier transmissions; charges the NIC's byte/message
+  // counters and trace spans. Returns the lane occupancy [start, end).
+  struct Span {
+    sim::Time start;
+    sim::Time end;
+  };
+  Span serialize(int src, int rail, double bytes, sim::Rate rate_cap,
+                 bool is_retx);
   // Select a route for the packet and schedule its first hop (or the direct
   // delivery when the route has no interior links). `tx_end` is when the
   // packet finishes serializing on its injection lane; `extra` carries
@@ -211,12 +197,13 @@ class Fabric {
   // Traverse interior link route->links[idx] in the owning switch's shard.
   void hop(Packet pkt, const Route* route, std::size_t idx, double wire_bytes,
            bool reliable);
+  // Final leg, in the destination's shard: the go-back-N receiver when
+  // faults are armed, else straight to the rail mux.
+  void arrive(Packet pkt, bool reliable);
   // Receiving rail mux: resequence by mux_seq, then push to the mailbox.
   void mux_deliver(Packet pkt);
 
   // -- Lossy path (faults armed) ----------------------------------------
-  // rail is 0 off the topology path, where the historical flat behaviour
-  // is preserved byte-for-byte.
   void send_reliable(Packet p, sim::Rate rate_cap);
   void pump(int src, int dst, int rail);       // drain backlog into window
   void transmit(int src, int dst, int rail, const Stored& s, bool is_retx);
@@ -248,11 +235,13 @@ class Fabric {
   FaultConfig fault_;
   bool armed_ = false;
   int rails_ = 1;
-  sim::Dur hop_ = 0.0;       // per-hop latency (topology path)
-  sim::Rate link_bw_ = 0.0;  // interior link bandwidth (topology path)
+  sim::Dur hop_ = 0.0;       // per-hop latency
+  sim::Rate link_bw_ = 0.0;  // interior link bandwidth
   std::unique_ptr<Topology> topo_;
   std::unique_ptr<Router> router_;
-  std::vector<LinkState> links_;
+  // Busy-until clock per shared-bandwidth interior link, touched only from
+  // the owning switch's shard.
+  std::vector<sim::Time> link_free_;
   std::vector<FaultStats> stats_shard_;
   mutable FaultStats merged_stats_;
   sim::Tracer* tracer_ = nullptr;

@@ -4,8 +4,8 @@
 //
 // A FaultConfig describes what the interconnect may do to a packet between
 // the sender's transmit lane and the receiver's NIC: drop it, deliver it
-// twice, corrupt it (detected by the NIC's CRC and discarded), delay it past
-// the FIFO clamp, or hit a transient per-link outage window. All decisions
+// twice, corrupt it (detected by the NIC's CRC and discarded), delay it by a
+// spike that reorders the wire, or hit a transient per-link outage window. All decisions
 // are coins drawn from the kFault splitmix64 stream of the run's
 // sim::Perturbation, so a faulty run replays bit-identically from its seed.
 //
@@ -13,9 +13,9 @@
 // protocol in net::Fabric (per-connection send window, sequence/ack headers,
 // timeout + exponential-backoff retransmit, duplicate suppression), which
 // restores the exactly-once in-order delivery contract the runtime's
-// notified-access machinery assumes. With every probability at zero the
-// fabric takes its historical code path untouched: no headers, no draws, no
-// timers — wire format and event schedule stay byte-identical.
+// notified-access machinery assumes. With every probability at zero none of
+// it exists: no headers, no draws, no timers — wire format and event
+// schedule stay byte-identical to the fault-free fabric.
 
 #include <cstdint>
 

@@ -47,17 +47,19 @@ class RailScheduler {
 template <typename P>
 class Resequencer {
  public:
-  // Offers a packet; appends every packet that is now in order to `out`
-  // (possibly none, possibly several when a gap closes).
-  void offer(std::uint64_t seq, P pkt, std::vector<P>& out) {
+  // Offers a packet; calls release(P) for every packet that is now in
+  // order (possibly none, possibly several when a gap closes). An in-order
+  // offer with nothing buffered is released straight through.
+  template <typename Release>
+  void offer(std::uint64_t seq, P pkt, Release&& release) {
     if (seq == next_) {
-      out.push_back(std::move(pkt));
       ++next_;
+      release(std::move(pkt));
       auto it = buffer_.begin();
       while (it != buffer_.end() && it->first == next_) {
-        out.push_back(std::move(it->second));
-        it = buffer_.erase(it);
         ++next_;
+        release(std::move(it->second));
+        it = buffer_.erase(it);
       }
       return;
     }

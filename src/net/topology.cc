@@ -19,8 +19,8 @@ Topology::Topology(int num_nodes, const TopoConfig& cfg)
     default: build_flat(); break;
   }
   // Every pair has at least one route (possibly empty = direct wire), and
-  // the engine needs a positive hop latency to bound its windows.
-  assert(!cfg_.active() || cfg_.hop_latency > 0.0);
+  // interior hops need a positive latency to bound the engine's windows.
+  assert(num_links_ == 0 || cfg_.hop_latency > 0.0);
 }
 
 int Topology::add_link(int from_switch, int to_switch) {
@@ -62,8 +62,7 @@ std::array<int, 3> exact_grid_dims(int n) {
 }
 
 void Topology::build_flat() {
-  // No interior hops: every pair keeps one empty route (the per-pair pipe).
-  // Multi-rail flat fabrics still stripe over the rails and resequence.
+  // No interior hops: every pair keeps one empty route (direct wire).
   for (auto& p : paths_) p.resize(1);
 }
 

@@ -2,11 +2,12 @@
 
 // Interconnect topology model (docs/TOPOLOGY.md, ROADMAP item 2).
 //
-// The flat fabric treats every node pair as a private full-duplex pipe. A
-// non-flat Topology expands each pair into a multi-hop path over *shared*
-// links: a two-level fat tree with configurable arity (leaf and spine
-// switches, ECMP across spines — the APEnet+ cluster style) or a 3-D torus
-// with wraparound and dimension-order minimal routing. Every directed link
+// The flat topology is the degenerate case: every node pair keeps one empty
+// route, a private full-duplex wire with no interior hops. A non-flat
+// Topology expands each pair into a multi-hop path over *shared* links: a
+// two-level fat tree with configurable arity (leaf and spine switches, ECMP
+// across spines — the APEnet+ cluster style) or a 3-D torus with wraparound
+// and dimension-order minimal routing. Every directed link
 // serializes transmissions at the link bandwidth, so congestion — hot spots,
 // incast, leaf uplink contention — emerges from the event schedule instead of
 // being assumed away.
@@ -26,7 +27,7 @@
 namespace dcuda::net {
 
 enum class TopologyKind : std::int32_t {
-  kFlat = 0,     // historical per-pair pipe, no interior hops
+  kFlat = 0,     // one empty route per pair: direct wire, no interior hops
   kFatTree = 1,  // two-level fat tree: leaf switches + spine switches
   kTorus3D = 2,  // 3-D torus, dimension-order minimal routing, wraparound
 };
@@ -37,8 +38,9 @@ enum class RouteMode : std::int32_t {
 };
 
 // Topology/rail knobs, carried on sim::NetConfig (docs/API.md). The default
-// — flat topology, one rail — keeps the fabric on its historical code path:
-// wire format and event schedule stay byte-identical.
+// — flat topology, one rail — is the degenerate topology: one empty route
+// per pair and one injection lane per NIC, with the rail mux as the only
+// ordering mechanism (docs/TOPOLOGY.md "The compatibility contract").
 struct TopoConfig {
   TopologyKind kind = TopologyKind::kFlat;
   // Fat tree: nodes per leaf switch; also the spine count (= ECMP width).
@@ -52,8 +54,8 @@ struct TopoConfig {
   // resequenced at the receiver's rail mux (net/rail.h).
   int rails = 1;
   RouteMode route = RouteMode::kEcmp;
-  // Per-switch-hop latency. With a non-flat topology this replaces the flat
-  // wire latency as the parallel engine's conservative lookahead.
+  // Per-switch-hop latency. On a topology with interior links it bounds the
+  // parallel engine's conservative lookahead, with the wire latency.
   sim::Dur hop_latency = sim::micros(0.35);
   // Interior (switch-to-switch) link bandwidth; 0 inherits NetConfig::bandwidth.
   sim::Rate link_bandwidth = 0.0;
@@ -64,9 +66,6 @@ struct TopoConfig {
   // capacity accounting must fail the link-capacity oracle.
   bool resequence = true;
   bool account_capacity = true;
-
-  // True when the fabric leaves the historical flat per-pair path.
-  bool active() const { return kind != TopologyKind::kFlat || rails > 1; }
 };
 
 // Near-cubic 3-D fit around `n` (x >= y >= z, x*y*z >= n): the smallest box

@@ -65,11 +65,12 @@ struct NetConfig {
   // Software overhead per message on send and on receive (verbs + MPI).
   Dur sw_overhead = micros(0.45);
   // Interconnect topology and NIC rail layout (net/topology.h,
-  // docs/TOPOLOGY.md). The default — flat topology, one rail — keeps the
-  // fabric on its historical per-pair-pipe code path, byte-identical to the
-  // pre-topology event schedule. A fat-tree or torus expands every pair
-  // into per-hop traversals over shared links; rails > 1 stripes messages
-  // across independent injection lanes with receive-side resequencing.
+  // docs/TOPOLOGY.md). The default — flat topology, one rail — is the
+  // degenerate topology: one empty route per pair (direct wire) and one
+  // injection lane per NIC, the paper's event schedule exactly. A fat tree
+  // or torus expands every pair into per-hop traversals over shared links;
+  // rails > 1 stripes messages across independent injection lanes. The
+  // receive-side rail mux keeps every pair FIFO either way.
   net::TopoConfig topo;
 };
 
@@ -217,8 +218,8 @@ struct MachineConfig {
   int shards = 0;
   int threads = default_threads();
   // Lossy-fabric fault injection (net/fault.h): all probabilities zero by
-  // default, which keeps the fabric on its historical perfectly-reliable
-  // code path (wire format and event schedule byte-identical). Any nonzero
+  // default, which keeps the fabric perfectly reliable with no protocol
+  // headers, coins or timers (wire format and event schedule unchanged). Any nonzero
   // probability arms the NIC-level go-back-N recovery protocol; decisions
   // draw from the kFault perturbation stream, so faulty runs need a
   // Perturbation (Cluster installs one automatically, seeded by

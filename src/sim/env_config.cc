@@ -103,8 +103,8 @@ std::optional<std::string> try_apply_env(MachineConfig& cfg) {
   }
   // DCUDA_TOPOLOGY selects the interconnect topology, DCUDA_RAILS the NIC
   // rail count, DCUDA_ROUTE the route-selection mode (docs/TOPOLOGY.md).
-  // Unset keeps the flat single-rail default with its byte-identical event
-  // schedule.
+  // Unset keeps the flat single-rail default, the degenerate topology with
+  // the paper model's event schedule.
   if (const char* s = std::getenv("DCUDA_TOPOLOGY")) {
     const std::string v = s;
     if (v == "fattree" || v == "fat_tree" || v == "fat-tree") {

@@ -58,10 +58,10 @@ class InvariantObserver {
  public:
   // -- Hooks (called by instrumented components) -----------------------
 
-  // net/fabric.cc, at delivery into the destination mailbox. On the
-  // topology path the sequence is the per-(src, dst) mux sequence released
-  // by the rail resequencer, so cross-rail reordering that escapes the mux
-  // (mutation: TopoConfig::resequence = false) fires this oracle.
+  // net/fabric.cc, at delivery into the destination mailbox. The sequence
+  // is the per-(src, dst) mux sequence released by the rail resequencer,
+  // so rail or jitter reordering that escapes the mux (mutation:
+  // TopoConfig::resequence = false) fires this oracle.
   void fabric_delivered(int src, int dst, std::uint64_t wire_seq);
 
   // Topology oracles (net/fabric.cc multi-hop path, docs/TOPOLOGY.md):
@@ -124,7 +124,7 @@ class InvariantObserver {
   // hook when the origin node flushes a batch to the fabric, one when the
   // target event handler lands it. Checks per (origin node, target node):
   // batches arrive in flush order (seq strictly consecutive — the fabric's
-  // runtime channel shares the FIFO clamp) and carry the flushed record
+  // runtime channel shares the rail-mux sequence) and carry the flushed record
   // count; finalize() checks every flushed batch was delivered (aggregation
   // conservation: a put parked in an aggregator must not be lost).
   void eager_batch_flushed(int origin_node, int target_node,

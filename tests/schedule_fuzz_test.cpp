@@ -97,10 +97,10 @@ sim::MachineConfig fuzz_machine(int nodes, std::uint64_t seed,
   m.shards = 1 << ((seed >> 3) & 3);
   m.threads = ((seed >> 5) & 1) ? 2 : 1;
   // Topology lane (docs/TOPOLOGY.md): bits 6-7 pick the interconnect —
-  // flat (historical pipe), fat tree, torus, or flat with 2 NIC rails — and
-  // bit 8 doubles the rails on the non-flat kinds, so go-back-N recovery
-  // and the FIFO contract get fuzzed over multi-hop routes and striped
-  // rails with receive-side resequencing in the loop.
+  // flat (the degenerate topology), fat tree, torus, or flat with 2 NIC
+  // rails — and bit 8 doubles the rails on the non-flat kinds, so go-back-N
+  // recovery and the FIFO contract get fuzzed over multi-hop routes and
+  // striped rails with receive-side resequencing in the loop.
   switch ((seed >> 6) & 3) {
     case 1: m.net.topo.kind = net::TopologyKind::kFatTree; break;
     case 2: m.net.topo.kind = net::TopologyKind::kTorus3D; break;

@@ -251,24 +251,25 @@ TEST(RailMux, ResequencerRestoresOrderUnderReorder) {
   // 1, 2, 3, ... regardless of the offer order.
   net::Resequencer<int> rs;
   std::vector<int> out;
-  rs.offer(3, 103, out);
+  const auto release = [&out](int v) { out.push_back(v); };
+  rs.offer(3, 103, release);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(rs.buffered(), 1u);
-  rs.offer(1, 101, out);
+  rs.offer(1, 101, release);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], 101);
   out.clear();
-  rs.offer(2, 102, out);  // closes the gap: releases 2 and the buffered 3
+  rs.offer(2, 102, release);  // closes the gap: releases 2 and the buffered 3
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], 102);
   EXPECT_EQ(out[1], 103);
   EXPECT_EQ(rs.released(), 3u);
   EXPECT_EQ(rs.buffered(), 0u);
   out.clear();
-  rs.offer(6, 106, out);
-  rs.offer(5, 105, out);
+  rs.offer(6, 106, release);
+  rs.offer(5, 105, release);
   EXPECT_TRUE(out.empty());
-  rs.offer(4, 104, out);
+  rs.offer(4, 104, release);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2], 106);
 }
@@ -314,7 +315,6 @@ TopoRun drive_topology(const TopoConfig& tc, int nodes, int bursts,
   sim::NetConfig nc;
   nc.topo = tc;
   net::Fabric fabric(sim, nodes, nc);
-  EXPECT_TRUE(fabric.topology_active());
   for (int b = 0; b < bursts; ++b) {
     for (int s = 0; s < nodes; ++s) {
       // Injections run in the source node's shard, like real senders.
@@ -440,6 +440,20 @@ TEST(TopologyMutation, DisabledResequencerFailsFifoOracle) {
             std::string::npos)
       << "resequencer mutation went undetected:\n" << r.violations;
   EXPECT_FALSE(r.in_order);  // visible end to end, not just to the oracle
+
+  // The flat single-rail default has no cross-rail skew, but link jitter
+  // reorders its wire: the mux is its only ordering mechanism too.
+  TopoConfig flat;
+  flat.resequence = false;
+  r = drive_topology(flat, 8, 40, 0, 1, /*perturb_seed=*/0x5eed);
+  EXPECT_NE(r.violations.find("fabric non-overtaking violated"),
+            std::string::npos)
+      << "flat resequencer mutation went undetected:\n" << r.violations;
+  EXPECT_FALSE(r.in_order);
+  flat.resequence = true;
+  r = drive_topology(flat, 8, 40, 0, 1, /*perturb_seed=*/0x5eed);
+  EXPECT_EQ(r.violations, "");
+  EXPECT_TRUE(r.in_order);
 }
 
 // Latent-assumption audit (docs/TESTING.md): the torus fit near_cubic_dims
