@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -69,7 +70,7 @@ Result scenario(const char* name, int reps, Body body) {
   const auto t0 = Clock::now();
   for (int i = 0; i < reps; ++i) r.events += body();
   r.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  std::fprintf(stderr, "%-18s %10" PRIu64 " events  %8.3f s  %12.0f ev/s\n",
+  std::fprintf(stderr, "%-22s %10" PRIu64 " events  %8.3f s  %12.0f ev/s\n",
                name, r.events, r.seconds, r.events_per_sec());
   return r;
 }
@@ -252,6 +253,48 @@ std::uint64_t cross_shard(int shards, int msgs, int rounds, int threads,
   return s.events_processed();
 }
 
+// Sharded engine, cancellable-event path: one processor-sharing resource
+// per shard, fed by that shard's own jobs (think, then use the resource,
+// repeatedly). Every arrival and completion cancels and re-arms the
+// resource's completion event — an EventToken made and dropped per charge,
+// the GPU SM/memory pattern of every fig bench. No cross-shard traffic, so
+// anything short of linear scaling with threads is state the shards share.
+// Think times and service are ~one lookahead, which keeps every shard at
+// tens of events per window.
+std::uint64_t sharded_resource_churn(int shards, int jobs, int rounds,
+                                     int threads,
+                                     sim::Simulation::WindowStats* stats) {
+  sim::Simulation s;
+  s.configure_shards(shards);
+  s.register_lookahead(kWireLat);
+  s.set_executor(0, threads);
+  std::vector<std::unique_ptr<sim::SharedResource>> res;
+  for (int d = 0; d < shards; ++d) {
+    sim::ShardGuard g(s, d);  // the resource belongs to shard d
+    // ~32 jobs in service at a time, each at 1 unit per lookahead.
+    res.push_back(std::make_unique<sim::SharedResource>(s, 32.0 / kWireLat,
+                                                        4.0 / kWireLat));
+  }
+  auto job = [](sim::Simulation& sim, sim::SharedResource& r, double think,
+                int n) -> sim::Proc<void> {
+    for (int i = 0; i < n; ++i) {
+      co_await sim.delay(think);
+      co_await r.use(1.0);
+    }
+  };
+  sim::Rng rng(29);
+  for (int d = 0; d < shards; ++d) {
+    for (int j = 0; j < jobs; ++j) {
+      s.spawn_on(d, job(s, *res[static_cast<size_t>(d)],
+                        rng.uniform(0.5, 1.5) * kWireLat, rounds),
+                 "j");
+    }
+  }
+  s.run();
+  *stats = s.window_stats();
+  return s.events_processed();
+}
+
 // Channel streaming: per-message delivery events carrying a payload.
 std::uint64_t channel_stream(int msgs) {
   sim::Simulation s;
@@ -308,6 +351,10 @@ int main() {
   results.back().windows = ws;
   results.push_back(scenario("cross_shard", 2 * k, [nt, &ws] {
     return cross_shard(8, 64, 4096, nt, &ws);
+  }));
+  results.back().windows = ws;
+  results.push_back(scenario("sharded_resource_churn", 2 * k, [nt, &ws] {
+    return sharded_resource_churn(8, 64, 512, nt, &ws);
   }));
   results.back().windows = ws;
 

@@ -109,6 +109,7 @@ parallel_json="$(jq -n \
                   parallel_window_stats: $par.scenarios[$n].window_stats};
    {cores: $cores, worker_threads: $threads,
     sharded_churn: lane("sharded_churn"), cross_shard: lane("cross_shard"),
+    sharded_resource_churn: lane("sharded_resource_churn"),
     fig10_stencil_scaling: {serial_seconds: $f10s.seconds,
                             parallel_seconds: $f10p.seconds,
                             speedup: ($f10s.seconds / $f10p.seconds),

@@ -111,6 +111,11 @@ check_row docs/BACKENDS.md "remote \(2 nodes\)" BENCH_backend.json \
   .remote_speedup
 check_row EXPERIMENTS.md "pairwise leaf→leaf \(4 streams\)" BENCH_net.json \
   .pairwise.time_1rail_us .pairwise.time_2rail_us .striping_speedup
+check_row EXPERIMENTS.md "\`host_loop\` \(paper §III-A\)" BENCH_backend.json \
+  .local_latency_us.host_loop .remote_latency_us.host_loop
+check_row EXPERIMENTS.md "\`device_initiated\` \(§III-D\)" BENCH_backend.json \
+  .local_latency_us.device_initiated .remote_latency_us.device_initiated
+check_row EXPERIMENTS.md "speedup" BENCH_backend.json .speedup .remote_speedup
 
 if [ "$missing" -ne 0 ]; then
   echo "docs check failed: $missing undocumented or mismatched item(s)" >&2

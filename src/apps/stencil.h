@@ -63,9 +63,6 @@ struct Geometry {
 // validation of both parallel variants.
 std::vector<double> reference(const Config& cfg, int num_nodes, int ranks_per_device);
 
-// Initial condition for global j-line row `jg` (deterministic).
-double initial_value(int i, int jg, int k);
-
 // Runs the dCUDA variant on the cluster. The cluster must be freshly
 // constructed (one measurement per cluster).
 Result run_dcuda(Cluster& cluster, const Config& cfg);

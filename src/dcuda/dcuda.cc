@@ -23,6 +23,14 @@ bool notification_matches(const rt::Notification& n, std::int32_t win_filter,
   return true;
 }
 
+// Slot of `win` in the rank's dense per-window counters (win_create grows
+// them, so every valid window has one).
+std::size_t win_slot(const rt::RankState& rs, const Window& win) {
+  assert(win.device_id >= 0 &&
+         static_cast<std::size_t>(win.device_id) < rs.win_issued.size());
+  return static_cast<std::size_t>(win.device_id);
+}
+
 // Names an RMA issue span for the tracer.
 const char* rma_activity(rt::CmdKind kind, bool notify) {
   if (kind == rt::CmdKind::kPut) return notify ? "put_notify" : "put";
@@ -141,7 +149,7 @@ sim::Proc<void> issue_rma(Context& ctx, rt::CmdKind kind, Window win,
       co_return;
     }
     c.flush_id = ++rs.next_flush_id;
-    ++rs.win_issued[win.device_id];
+    ++rs.win_issued[win_slot(rs, win)];
     co_await rs.cmd_q.enqueue(c);
     count_inflight();
     end_span();
@@ -149,7 +157,7 @@ sim::Proc<void> issue_rma(Context& ctx, rt::CmdKind kind, Window win,
   }
 
   c.flush_id = ++rs.next_flush_id;
-  ++rs.win_issued[win.device_id];
+  ++rs.win_issued[win_slot(rs, win)];
   co_await rs.cmd_q.enqueue(c);
   count_inflight();
   end_span();
@@ -188,19 +196,18 @@ sim::Proc<void> Context::charge_memory(double bytes) {
   }
 }
 
-void Context::trace(const char* activity, sim::Category category,
-                    sim::Time begin, sim::Time end, double bytes) {
+void Context::record_span(sim::Tracer& t, const char* activity,
+                          sim::Category category, sim::Time begin,
+                          sim::Time end, double bytes) {
   if (block != nullptr) {
-    block->trace(activity, category, begin, end, bytes);
+    block->record_span(t, activity, category, begin, end, bytes);
     return;
   }
-  if (sim::Tracer* t = node->device().tracer(); t && t->enabled()) {
-    // Host ranks trace on a lane band of their own (kHostRankLaneBase + idx).
-    const int host_index = world_rank % node->ranks_per_node() - node->ranks_per_device();
-    t->record(sim::TraceSpan{begin, end, node->phys_node(),
-                             sim::kHostRankLaneBase + host_index, activity,
-                             category, bytes});
-  }
+  // Host ranks trace on a lane band of their own (kHostRankLaneBase + idx).
+  const int host_index = world_rank % node->ranks_per_node() - node->ranks_per_device();
+  t.record(sim::TraceSpan{begin, end, node->phys_node(),
+                          sim::kHostRankLaneBase + host_index, activity,
+                          category, bytes});
 }
 
 sim::Proc<void> init_host(Context& ctx, const KernelParam& param, int host_index) {
@@ -246,6 +253,8 @@ sim::Proc<Window> win_create(Context& ctx, Comm comm, void* base, std::size_t by
   rt::RankState& rs = *ctx.rs;
   Window w;
   w.device_id = rs.next_win_device_id++;
+  rs.win_issued.push_back(0);
+  rs.win_completed.push_back(0);
   co_await charge_issue(ctx);
 
   rt::Command c;
@@ -310,8 +319,9 @@ sim::Proc<void> flush(Context& ctx) {
 sim::Proc<void> win_flush(Context& ctx, Window win) {
   assert(win.valid());
   rt::RankState& rs = *ctx.rs;
-  const std::uint64_t target = rs.win_issued[win.device_id];
-  while (rs.win_completed[win.device_id] < target) co_await rs.flush_trig.wait();
+  const std::size_t w = win_slot(rs, win);
+  const std::uint64_t target = rs.win_issued[w];
+  while (rs.win_completed[w] < target) co_await rs.flush_trig.wait();
 }
 
 sim::Proc<void> wait_notifications(Context& ctx, std::int32_t win_filter, int source,

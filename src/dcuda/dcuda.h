@@ -41,8 +41,8 @@ struct KernelParam {
 };
 
 // Window handle. device_id is the rank-local identifier (translated to the
-// global id by the block manager's hash map); global_id is filled in by the
-// creation ack and used for direct shared-memory accesses.
+// global id by the block manager's translation table); global_id is filled
+// in by the creation ack and used for direct shared-memory accesses.
 struct Window {
   std::int32_t device_id = -1;
   std::int32_t global_id = -1;
@@ -83,8 +83,18 @@ class Context {
   // The cluster's tracer (may be null; check enabled() before building
   // spans — see sim/trace.h).
   sim::Tracer* tracer() { return node->device().tracer(); }
+  // Records a span on the rank's lane: its block's, or the host-rank band.
+  // Tracing off costs the inline enabled-check only.
   void trace(const char* activity, sim::Category category, sim::Time begin,
-             sim::Time end, double bytes = 0.0);
+             sim::Time end, double bytes = 0.0) {
+    if (sim::Tracer* t = tracer(); t != nullptr && t->enabled()) {
+      record_span(*t, activity, category, begin, end, bytes);
+    }
+  }
+
+ private:
+  void record_span(sim::Tracer& t, const char* activity, sim::Category category,
+                   sim::Time begin, sim::Time end, double bytes);
 };
 
 // -- Setup -------------------------------------------------------------------

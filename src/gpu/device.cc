@@ -24,12 +24,11 @@ sim::Proc<void> BlockCtx::mem_traffic(double bytes) {
   trace("memory", sim::Category::kMemory, begin, sim().now(), bytes);
 }
 
-void BlockCtx::trace(const char* activity, sim::Category category,
-                     sim::Time begin, sim::Time end, double bytes) {
-  if (sim::Tracer* t = dev_->tracer(); t && t->enabled()) {
-    t->record(sim::TraceSpan{begin, end, dev_->node(), block_id_, activity,
-                             category, bytes});
-  }
+void BlockCtx::record_span(sim::Tracer& t, const char* activity,
+                           sim::Category category, sim::Time begin,
+                           sim::Time end, double bytes) const {
+  t.record(sim::TraceSpan{begin, end, dev_->node(), block_id_, activity,
+                          category, bytes});
 }
 
 Device::Device(sim::Simulation& s, int node_id, const sim::DeviceConfig& cfg,

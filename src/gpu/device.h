@@ -65,9 +65,13 @@ class BlockCtx {
   sim::Proc<void> mem_traffic(double bytes);
 
   // Tracing hook for schedule visualizations (Fig. 1) and the structured
-  // observability layer (docs/OBSERVABILITY.md).
+  // observability layer (docs/OBSERVABILITY.md). The enabled-check is
+  // inline; the span is built out of line, by record_span, only while the
+  // tracer is on.
   void trace(const char* activity, sim::Category category, sim::Time begin,
              sim::Time end, double bytes = 0.0);
+  void record_span(sim::Tracer& t, const char* activity, sim::Category category,
+                   sim::Time begin, sim::Time end, double bytes) const;
 
  private:
   Device* dev_;
@@ -135,7 +139,8 @@ class Device {
 
   // -- Memory --------------------------------------------------------------
 
-  // Allocates real backing store tagged as this device's memory.
+  // Allocates real backing store tagged as this device's memory, zero-filled
+  // (the byte vector value-initializes), so callers need not clear it.
   template <typename T>
   std::span<T> alloc(std::size_t count) {
     auto block = std::make_unique<std::vector<std::byte>>(count * sizeof(T) +
@@ -199,5 +204,12 @@ class Device {
   std::vector<std::shared_ptr<LaunchState>> active_launches_;
   std::vector<std::unique_ptr<std::vector<std::byte>>> allocations_;
 };
+
+inline void BlockCtx::trace(const char* activity, sim::Category category,
+                            sim::Time begin, sim::Time end, double bytes) {
+  if (sim::Tracer* t = dev_->tracer(); t != nullptr && t->enabled()) {
+    record_span(*t, activity, category, begin, end, bytes);
+  }
+}
 
 }  // namespace dcuda::gpu

@@ -198,7 +198,9 @@ sim::Proc<void> NodeRuntime::handle_win_create(int local_rank, Command c) {
   const std::int32_t gid = global_win_id(
       binding_.job_tag, c.comm,
       rs.win_create_seq[static_cast<size_t>(comm_idx)]++);
-  rs.win_translate[c.win_device_id] = gid;
+  // Device ids are dense and arrive in creation order (FIFO command queue).
+  assert(static_cast<std::size_t>(c.win_device_id) == rs.win_translate.size());
+  rs.win_translate.push_back(gid);
 
   WindowInfo& wi = windows_[gid];
   if (wi.per_rank.empty()) {
@@ -230,10 +232,11 @@ sim::Proc<void> NodeRuntime::handle_win_create(int local_rank, Command c) {
 
 sim::Proc<void> NodeRuntime::handle_win_free(int local_rank, Command c) {
   RankState& rs = rank(local_rank);
-  const std::int32_t gid = rs.win_translate.at(c.win_device_id);
+  const std::int32_t gid = rs.global_win(c.win_device_id);
   WindowInfo& wi = windows_.at(gid);
   ++wi.freed;
-  rs.win_translate.erase(c.win_device_id);
+  rs.win_translate[static_cast<std::size_t>(c.win_device_id)] =
+      RankState::kNoWindow;
   if (wi.freed < ranks_per_node()) co_return;
   if (wi.comm == Comm::kWorld && ep_.size() > 1) co_await ep_.barrier();
   const std::vector<WinRankInfo> per_rank = wi.per_rank;  // acks need ids
@@ -263,7 +266,7 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
     }
     if (c.notify) {
       const int target_local = c.target_rank - node() * ranks_per_node();
-      const std::int32_t gid = rs.win_translate.at(c.win_device_id);
+      const std::int32_t gid = rs.global_win(c.win_device_id);
       const WinRankInfo* peer = window_peer(gid, target_local);
       assert(peer != nullptr);
       Notification n;
@@ -304,7 +307,7 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
   m.kind = CmdKind::kPut;
   m.origin_rank = rs.global_rank;
   m.target_rank = c.target_rank;
-  m.win_global_id = rs.win_translate.at(c.win_device_id);
+  m.win_global_id = rs.global_win(c.win_device_id);
   m.offset = c.offset;
   m.bytes = c.bytes;
   m.tag = c.tag;
@@ -406,7 +409,7 @@ sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
   m.kind = CmdKind::kGet;
   m.origin_rank = rs.global_rank;
   m.target_rank = c.target_rank;
-  m.win_global_id = rs.win_translate.at(c.win_device_id);
+  m.win_global_id = rs.global_win(c.win_device_id);
   m.offset = c.offset;
   m.bytes = c.bytes;
   m.tag = c.tag;
@@ -544,7 +547,7 @@ sim::Proc<void> NodeRuntime::handle_eager_put(int local_rank, Command c) {
   EagerPutRecord r;
   r.origin_rank = rs.global_rank;
   r.target_rank = c.target_rank;
-  r.win_global_id = rs.win_translate.at(c.win_device_id);
+  r.win_global_id = rs.global_win(c.win_device_id);
   r.offset = c.offset;
   r.bytes = c.bytes;
   r.tag = c.tag;
@@ -853,7 +856,10 @@ sim::Proc<void> NodeRuntime::complete_flush(RankState& rs, std::uint64_t id,
   RankState* rsp = &rs;
   const std::uint64_t frontier = advanced ? rs.flush_frontier : 0;
   auto apply = [rsp, win_device_id, frontier] {
-    if (win_device_id >= 0) ++rsp->win_completed[win_device_id];
+    if (win_device_id >= 0) {
+      assert(static_cast<std::size_t>(win_device_id) < rsp->win_completed.size());
+      ++rsp->win_completed[static_cast<std::size_t>(win_device_id)];
+    }
     if (frontier > rsp->flush_done) rsp->flush_done = frontier;
     rsp->flush_trig.notify_all();
   };

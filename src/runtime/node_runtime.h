@@ -11,10 +11,11 @@
 // enqueue notifications into device memory.
 //
 // Everything is functional: window registries, the device-id → global-id
-// hash map, flush-id history, and the notification payloads all really
-// exist, and the data paths memcpy real bytes.
+// translation table, flush-id history, and the notification payloads all
+// really exist, and the data paths memcpy real bytes.
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -78,9 +79,10 @@ struct RankState {
   // Per-window operation counters for the paper's window flush: issued is
   // device-side state, completed is device-visible and advanced by the
   // block manager (completion order within a window is irrelevant — counts
-  // suffice). Keyed by the rank-local window id.
-  std::unordered_map<std::int32_t, std::uint64_t> win_issued;
-  std::unordered_map<std::int32_t, std::uint64_t> win_completed;
+  // suffice). Indexed by the rank-local window id: win_create hands ids out
+  // densely (next_win_device_id++) and grows both tables.
+  std::vector<std::uint64_t> win_issued;
+  std::vector<std::uint64_t> win_completed;
 
   // Device-side library state (device memory, owned by the rank's block).
   std::uint64_t next_flush_id = 0;
@@ -92,8 +94,17 @@ struct RankState {
   // arrivals that bypassed the queue.
   gpu::DeviceBoard<Notification> board;
 
-  // Host-side block manager state.
-  std::unordered_map<std::int32_t, std::int32_t> win_translate;  // device->global
+  // Host-side block manager state. win_translate maps the rank-local
+  // window id (dense, see win_issued) to the global id, kNoWindow once freed.
+  static constexpr std::int32_t kNoWindow = -1;
+  std::vector<std::int32_t> win_translate;
+  std::int32_t global_win(std::int32_t device_id) const {
+    assert(device_id >= 0 &&
+           static_cast<std::size_t>(device_id) < win_translate.size() &&
+           win_translate[static_cast<std::size_t>(device_id)] != kNoWindow &&
+           "window id not registered with the block manager");
+    return win_translate[static_cast<std::size_t>(device_id)];
+  }
   std::array<std::int32_t, 2> win_create_seq{0, 0};              // per comm
   std::uint64_t flush_frontier = 0;        // host-side contiguous frontier
   std::set<std::uint64_t> flush_done_ooo;  // completed out of order

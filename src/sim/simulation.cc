@@ -219,7 +219,7 @@ struct Simulation::Workers {
 };
 
 Simulation::Simulation() {
-  shards_.push_back(std::make_unique<Shard>(0));
+  shards_.push_back(std::make_unique<Shard>(0, this));
   shards_[0]->outbound.resize(1);
 }
 
@@ -258,9 +258,6 @@ Simulation::~Simulation() {
       out.clear();
     }
   }
-  // Detach from outstanding EventTokens; the last of them frees the block.
-  blk_->sim = nullptr;
-  if (blk_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete blk_;
 }
 
 void Simulation::configure_shards(int n) {
@@ -269,7 +266,7 @@ void Simulation::configure_shards(int n) {
   assert(shards_[0]->pool_size == 0 && shards_[0]->next_seq == 0 &&
          "configure_shards must precede any scheduling");
   for (int k = 1; k < n; ++k) {
-    shards_.push_back(std::make_unique<Shard>(k));
+    shards_.push_back(std::make_unique<Shard>(k, this));
   }
   for (auto& sh : shards_) {
     sh->outbound.resize(shards_.size());

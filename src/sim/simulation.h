@@ -68,12 +68,17 @@ class Simulation;
 class InvariantObserver;
 
 namespace detail {
-// Liveness anchor shared by a Simulation and its EventTokens. The engine
-// holds one reference for its whole lifetime and nulls `sim` on
-// destruction, so a token can always tell a dead engine from a live one.
-// The count is atomic because tokens of different shards may be copied and
-// dropped concurrently during a multi-threaded window.
-struct TokenBlock {
+// Liveness anchor shared by one engine shard and the EventTokens scheduled
+// on it. The shard holds one reference for the engine's whole lifetime and
+// nulls `sim` when the engine destroys it, so a token can always tell a
+// dead engine from a live one. Every shard owns its own block, on a cache
+// line of its own, so token copies and drops — one pair per
+// SharedResource re-arm — on different shards never write a shared line
+// (docs/PERF.md, "Shard-private hot state"). The count stays atomic:
+// uncontended it is cheap, and a token may still be dropped on another
+// thread than the worker that made it (after the run, or by a component
+// torn down from the main thread).
+struct alignas(64) TokenBlock {
   Simulation* sim;
   std::atomic<std::uint64_t> refs;
 };
@@ -90,10 +95,10 @@ class DeadlockError : public std::runtime_error {
 
 // Cancellation token for a scheduled event (used for timeouts and for
 // rescheduling completion events in shared resources). Holds a (shard,
-// slot, generation) triple into the owning shard's event pool plus a shared
-// liveness anchor, so a token may safely outlive both its event (the slot's
-// generation has moved on) and the whole Simulation (the anchor's engine
-// pointer is nulled). Tokens are shard-affine: cancel()/pending() touch the
+// slot, generation) triple into the owning shard's event pool plus that
+// shard's liveness anchor, so a token may safely outlive both its event
+// (the slot's generation has moved on) and the whole Simulation (the
+// anchor's engine pointer is nulled). Tokens are shard-affine: cancel()/pending() touch the
 // owning shard's pool, so they must only be called from that shard during a
 // multi-threaded window (all engine users — resource completions, go-back-N
 // retransmit timers — keep their tokens shard-local).
@@ -278,7 +283,7 @@ class Simulation {
   EventToken schedule_cancellable(Dur delay, F&& fn) {
     Shard& sh = cur();
     const std::uint32_t si = emplace_event(sh, sh.now + delay, std::forward<F>(fn));
-    return EventToken(blk_, static_cast<std::uint32_t>(sh.index), si,
+    return EventToken(sh.token_blk, static_cast<std::uint32_t>(sh.index), si,
                       slot(sh, si).gen);
   }
 
@@ -488,13 +493,26 @@ class Simulation {
   };
 
   // One node-stack's event engine. Everything a window touches is local to
-  // the shard; worker threads never share shard state inside a window.
-  struct Shard {
-    explicit Shard(int idx) : index(idx) {}
+  // the shard; worker threads never share shard state inside a window. The
+  // alignment keeps two shards' hot counters off a common cache line.
+  struct alignas(64) Shard {
+    Shard(int idx, Simulation* sim)
+        : index(idx), token_blk(new detail::TokenBlock{sim, {1}}) {}
+    ~Shard() {
+      // Detach from outstanding EventTokens; the last of them frees the
+      // block.
+      token_blk->sim = nullptr;
+      if (token_blk->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        delete token_blk;
+      }
+    }
     Shard(const Shard&) = delete;
     Shard& operator=(const Shard&) = delete;
 
     const int index;
+    // Liveness anchor of this shard's EventTokens; the shard holds one
+    // reference until the engine is destroyed.
+    detail::TokenBlock* const token_blk;
     Time now = 0.0;
     std::uint64_t next_seq = 0;
     std::uint64_t cross_seq = 0;
@@ -695,9 +713,6 @@ class Simulation {
   std::uint64_t windows_ = 0;
   std::unique_ptr<Workers> workers_;
   std::vector<std::pair<Staged, int>> merge_scratch_;  // (event, src shard)
-
-  // Liveness anchor for EventTokens (one allocation per Simulation).
-  detail::TokenBlock* blk_ = new detail::TokenBlock{this, {1}};
 
   std::uint64_t perturb_seed_ = 0;
   std::uint32_t perturb_classes_ = 0;

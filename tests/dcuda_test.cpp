@@ -68,7 +68,7 @@ TEST(DcudaWindow, CreateAndFreeCollective) {
 
 TEST(DcudaWindow, IdTranslationWithDivergentLocalIds) {
   // Ranks create different numbers of device-communicator windows before a
-  // world window, so device-side ids diverge; the block manager's hash map
+  // world window, so device-side ids diverge; the block manager's table
   // must still translate them to one consistent global id (§III-B).
   Cluster c({.machine = small_machine(2), .ranks_per_device = 2});
   std::vector<std::span<double>> bufs;

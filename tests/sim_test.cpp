@@ -108,6 +108,45 @@ TEST(EventQueue, TokenOutlivesEngine) {
   tok.cancel();
 }
 
+TEST(EventQueue, TokenOutlivesShardedEngine) {
+  // Every shard anchors its own tokens; each anchor must stay alive for as
+  // long as a token of that shard does, and report the engine gone.
+  constexpr int kShards = 4;
+  std::vector<EventToken> fired, parked;
+  {
+    Simulation sim;
+    sim.configure_shards(kShards);
+    sim.register_lookahead(micros(1));
+    sim.set_executor(0, kShards);
+    for (int d = 0; d < kShards; ++d) {
+      ShardGuard g(sim, d);
+      fired.push_back(sim.schedule_cancellable(micros(1), [] {}));
+      parked.push_back(sim.schedule_cancellable(1.0, [] {}));
+      parked.push_back(parked.back());  // a copy shares the anchor
+    }
+    sim.run_until(micros(2));
+    for (int d = 0; d < kShards; ++d) {
+      EXPECT_FALSE(fired[static_cast<size_t>(d)].pending());
+      EXPECT_TRUE(parked[static_cast<size_t>(2 * d)].pending());
+    }
+    parked[0].cancel();
+    EXPECT_FALSE(parked[1].pending());
+    EXPECT_TRUE(parked[2].pending());
+  }
+  // The engine is gone: every token answers, copies, and cancels safely.
+  for (EventToken& t : fired) {
+    EXPECT_FALSE(t.pending());
+    t.cancel();
+  }
+  for (EventToken& t : parked) {
+    EventToken copy = t;
+    EXPECT_FALSE(copy.pending());
+    t.cancel();
+    t.cancel();
+    EXPECT_FALSE(copy.pending());
+  }
+}
+
 TEST(EventQueue, SlotReuseDoesNotResurrectStaleTokens) {
   Simulation sim;
   bool first_fired = false;
