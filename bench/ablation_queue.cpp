@@ -7,6 +7,7 @@
 #include "bench/common.h"
 #include "pcie/pcie.h"
 #include "queue/circular_queue.h"
+#include "runtime/node_runtime.h"
 
 namespace dcuda {
 namespace {
@@ -19,14 +20,10 @@ struct QueueStats {
 QueueStats run_queue(int ring, int n, sim::Dur consumer_delay) {
   sim::Simulation s;
   pcie::PcieLink link(s, sim::PcieConfig{});
-  queue::Transport t;
-  t.write = [&link](double bytes, std::function<void()> commit) -> sim::Proc<void> {
-    co_await link.post_write(pcie::Dir::kDeviceToHost, bytes, std::move(commit));
-  };
-  t.read_tail = [&link](double bytes) -> sim::Proc<void> {
-    co_await link.mapped_read(pcie::Dir::kHostToDevice, bytes);
-  };
-  queue::CircularQueue<int> q(s, ring, std::move(t));
+  // The runtime's device->host queue transport: posted entry writes,
+  // mapped tail reads.
+  queue::CircularQueue<int> q(
+      s, ring, rt::pcie_transport(link, pcie::Dir::kDeviceToHost));
   auto producer = [&]() -> sim::Proc<void> {
     for (int i = 0; i < n; ++i) co_await q.enqueue(i);
   };

@@ -12,13 +12,12 @@ int main(int argc, char** argv) {
   const int rounds = bench::iterations(40);
   bench::row({"newton_iters_per_exchange", "compute_and_exchange_ms", "compute_only_ms",
               "halo_exchange_ms"});
-  for (int units : {0, 1, 2, 4, 8, 16, 32}) {
-    // Trace the 8-units point: compute and exchange are comparable there, so
-    // the overlap story is clearest.
-    auto p = bench::overlap_point(8, bench::Workload::kNewton, units, rounds,
-                                  units == 8 ? "newton x8" : "");
-    bench::row({bench::fmt(units, "%.0f"), bench::fmt(p.full_ms), bench::fmt(p.compute_ms),
-                bench::fmt(p.exchange_ms)});
+  // Trace the 8-units point: compute and exchange are comparable there, so
+  // the overlap story is clearest.
+  for (const auto& p :
+       bench::overlap_sweep(8, bench::Workload::kNewton, rounds, 8, "newton x8")) {
+    bench::row({bench::fmt(p.units, "%.0f"), bench::fmt(p.full_ms),
+                bench::fmt(p.compute_ms), bench::fmt(p.exchange_ms)});
   }
   bench::trace_sink().finish();
   return 0;

@@ -11,11 +11,10 @@ int main(int argc, char** argv) {
   const int rounds = bench::iterations(40);
   bench::row({"copy_iters_per_exchange", "compute_and_exchange_ms", "compute_only_ms",
               "halo_exchange_ms"});
-  for (int units : {0, 1, 2, 4, 8, 16, 32}) {
-    auto p = bench::overlap_point(8, bench::Workload::kMemcopy, units, rounds,
-                                  units == 8 ? "memcopy x8" : "");
-    bench::row({bench::fmt(units, "%.0f"), bench::fmt(p.full_ms), bench::fmt(p.compute_ms),
-                bench::fmt(p.exchange_ms)});
+  for (const auto& p :
+       bench::overlap_sweep(8, bench::Workload::kMemcopy, rounds, 8, "memcopy x8")) {
+    bench::row({bench::fmt(p.units, "%.0f"), bench::fmt(p.full_ms),
+                bench::fmt(p.compute_ms), bench::fmt(p.exchange_ms)});
   }
   bench::trace_sink().finish();
   return 0;

@@ -6,6 +6,10 @@
 // either phase; perfect overlap means time(full) == max(time(compute),
 // time(exchange)).
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "bench/common.h"
 #include "dcuda/dcuda.h"
 
@@ -14,6 +18,7 @@ namespace dcuda::bench {
 enum class Workload { kNewton, kMemcopy };
 
 struct OverlapPoint {
+  int units = 0;
   double full_ms = 0.0;
   double compute_ms = 0.0;
   double exchange_ms = 0.0;
@@ -31,11 +36,13 @@ inline sim::Proc<void> workload_unit(gpu::BlockCtx& blk, Workload w) {
   }
 }
 
+// One run of a point variant; `snapshot`, when set, receives a copy of the
+// run's enabled tracer.
 inline double run_overlap(int nodes, Workload w, int units_per_exchange,
                           bool compute, bool exchange, int rounds,
-                          const char* trace_label = nullptr) {
+                          std::optional<sim::Tracer>* snapshot = nullptr) {
   Cluster c({.machine = machine(nodes)});
-  if (trace_label != nullptr && trace_sink().enabled()) c.tracer().enable();
+  if (snapshot != nullptr) c.tracer().enable();
   const int rpd = c.ranks_per_device();
   // Distinct halo buffers per rank so that intra-device puts move data too
   // (each exchange really transfers 1 kB per direction).
@@ -69,26 +76,40 @@ inline double run_overlap(int nodes, Workload w, int units_per_exchange,
     }
     co_await win_free(ctx, win);
   });
-  if (c.tracer().enabled()) trace_sink().add(trace_label, c.tracer());
+  if (snapshot != nullptr) snapshot->emplace(c.tracer());
   return sim::to_millis(elapsed);
 }
 
-// trace_prefix, when set, snapshots the three runs of this point for
-// --trace/--summary as "<prefix>/full", "<prefix>/compute", "<prefix>/exchange".
-inline OverlapPoint overlap_point(int nodes, Workload w, int units, int rounds,
-                                  const std::string& trace_prefix = {}) {
-  const bool tr = !trace_prefix.empty();
-  const std::string full = trace_prefix + "/full";
-  const std::string comp = trace_prefix + "/compute";
-  const std::string exch = trace_prefix + "/exchange";
-  OverlapPoint p;
-  p.full_ms =
-      run_overlap(nodes, w, units, true, true, rounds, tr ? full.c_str() : nullptr);
-  p.compute_ms =
-      run_overlap(nodes, w, units, true, false, rounds, tr ? comp.c_str() : nullptr);
-  p.exchange_ms =
-      run_overlap(nodes, w, 0, false, true, rounds, tr ? exch.c_str() : nullptr);
-  return p;
+// One Fig. 7/8 sweep over `units` of 0..32, a full and a compute-only run
+// per point. The exchange-only run does not depend on the units, so it runs
+// once and every point reports it. With --trace/--summary, the point at
+// `traced_units` is snapshotted as "<trace_prefix>/full", "/compute" and
+// "/exchange", in that order.
+inline std::vector<OverlapPoint> overlap_sweep(int nodes, Workload w, int rounds,
+                                               int traced_units,
+                                               const std::string& trace_prefix) {
+  const bool tracing = trace_sink().enabled();
+  std::optional<sim::Tracer> exch_snap;
+  std::optional<sim::Tracer> snap;
+  const double exchange_ms =
+      run_overlap(nodes, w, 0, false, true, rounds, tracing ? &exch_snap : nullptr);
+  std::vector<OverlapPoint> points;
+  for (int units : {0, 1, 2, 4, 8, 16, 32}) {
+    const bool tr = tracing && units == traced_units;
+    OverlapPoint p;
+    p.units = units;
+    p.full_ms = run_overlap(nodes, w, units, true, true, rounds, tr ? &snap : nullptr);
+    if (tr) trace_sink().add(trace_prefix + "/full", *snap);
+    p.compute_ms =
+        run_overlap(nodes, w, units, true, false, rounds, tr ? &snap : nullptr);
+    if (tr) {
+      trace_sink().add(trace_prefix + "/compute", *snap);
+      trace_sink().add(trace_prefix + "/exchange", *exch_snap);
+    }
+    p.exchange_ms = exchange_ms;
+    points.push_back(p);
+  }
+  return points;
 }
 
 }  // namespace dcuda::bench

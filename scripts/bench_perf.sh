@@ -26,7 +26,10 @@
 # wall-clock speedup under "parallel", together with the engine's window
 # telemetry (Simulation::window_stats: windows, busy shard-windows, events
 # per window, barrier wait per worker) of every run. The >= 2x speedup
-# acceptance bar is enforced only when the machine has at least 4 cores; on
+# acceptance bar on sharded_churn is decided on the median of 5 interleaved
+# serial/parallel micro_engine pairs, all recorded under
+# parallel.sharded_churn_gate. It is enforced only when the machine has at
+# least 4 cores; on
 # smaller hosts the record says so and the gate is skipped (a 1-core
 # container cannot exhibit parallel speedup, only protocol overhead). A
 # failed gate is recorded in BENCH_engine.json and fails the script after
@@ -118,17 +121,37 @@ parallel_json="$(jq -n \
 
 gate_failed=0
 if [ "$CORES" -ge 4 ]; then
-  pspeed="$(jq -r '.sharded_churn.speedup' <<< "$parallel_json")"
+  # One sharded_churn run lasts well under a second, and on a shared host a
+  # single serial/parallel pair of the same binary swings from about 1.3x to
+  # 2.1x. The gate therefore decides on the median speedup of GATE_RUNS
+  # interleaved pairs; every pair is recorded under sharded_churn_gate.
+  GATE_RUNS=5
+  echo "== sharded_churn gate: $GATE_RUNS micro_engine pairs, 1 vs $PAR threads ==" >&2
+  gate_runs="[]"
+  for _ in $(seq "$GATE_RUNS"); do
+    gs="$(DCUDA_THREADS=1 "$BUILD/bench/micro_engine")"
+    gp="$(DCUDA_THREADS="$PAR" "$BUILD/bench/micro_engine")"
+    gate_runs="$(jq --argjson s "$gs" --argjson p "$gp" \
+      '. + [{serial_events_per_sec: $s.scenarios.sharded_churn.events_per_sec,
+             parallel_events_per_sec: $p.scenarios.sharded_churn.events_per_sec,
+             speedup: ($p.scenarios.sharded_churn.events_per_sec /
+                       $s.scenarios.sharded_churn.events_per_sec)}]' \
+      <<< "$gate_runs")"
+  done
+  pspeed="$(jq -r '[.[].speedup] | sort | .[length / 2 | floor]' <<< "$gate_runs")"
+  echo "   speedups $(jq -c '[.[].speedup * 100 | round / 100]' <<< "$gate_runs"), median ${pspeed}x" >&2
+  parallel_json="$(jq --argjson r "$gate_runs" --argjson m "$pspeed" \
+    '. + {sharded_churn_gate: {runs: $r, median_speedup: $m}}' <<< "$parallel_json")"
   ok="$(awk -v s="$pspeed" 'BEGIN { print (s >= 2.0) ? 1 : 0 }')"
   if [ "$ok" -ne 1 ]; then
-    echo "FAIL: sharded_churn parallel speedup ${pspeed}x < 2x at $PAR threads" >&2
+    echo "FAIL: sharded_churn median parallel speedup ${pspeed}x < 2x at $PAR threads" >&2
     gate_failed=1
     parallel_json="$(jq --arg s "$pspeed" \
-      '. + {gate: ("enforced (>= 2x sharded_churn): FAILED at " + $s + "x")}' \
+      '. + {gate: ("enforced (>= 2x sharded_churn, median of 5): FAILED at " + $s + "x")}' \
       <<< "$parallel_json")"
   else
-    echo "   parallel speedup ${pspeed}x (bar: 2x at >= 4 cores)" >&2
-    parallel_json="$(jq '. + {gate: "enforced (>= 2x sharded_churn)"}' <<< "$parallel_json")"
+    echo "   median parallel speedup ${pspeed}x (bar: 2x at >= 4 cores)" >&2
+    parallel_json="$(jq '. + {gate: "enforced (>= 2x sharded_churn, median of 5)"}' <<< "$parallel_json")"
   fi
 else
   echo "   $CORES core(s): 2x speedup gate skipped (needs >= 4 cores)" >&2

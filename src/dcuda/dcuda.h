@@ -71,10 +71,12 @@ class Context {
   sim::Simulation& sim() { return node->simulation(); }
 
   // Charges compute/memory work to the rank's processor: the block's SM and
-  // the device memory system, or the host CPU and host memory.
-  sim::Proc<void> charge_compute(double flops);
-  sim::Proc<void> charge_compute_time(sim::Dur dedicated_time);
-  sim::Proc<void> charge_memory(double bytes);
+  // the device memory system, or the host CPU and host memory. Awaitable
+  // without a coroutine frame (gpu::Charge); the span lands on the rank's
+  // lane.
+  gpu::Charge<Context> charge_compute(double flops);
+  gpu::Charge<Context> charge_compute_time(sim::Dur dedicated_time);
+  gpu::Charge<Context> charge_memory(double bytes);
 
   // The node's communication-protocol knobs (sim::RmaConfig: eager
   // threshold, aggregation window, batch caps).

@@ -6,24 +6,6 @@
 
 namespace dcuda::gpu {
 
-sim::Simulation& BlockCtx::sim() { return dev_->simulation(); }
-
-sim::Proc<void> BlockCtx::compute_flops(double flops) {
-  const sim::Time begin = sim().now();
-  co_await dev_->sm_compute(sm_id_).use(flops);
-  trace("compute", sim::Category::kCompute, begin, sim().now());
-}
-
-sim::Proc<void> BlockCtx::compute(sim::Dur dedicated_time) {
-  co_await compute_flops(dedicated_time * dev_->per_block_flop_rate());
-}
-
-sim::Proc<void> BlockCtx::mem_traffic(double bytes) {
-  const sim::Time begin = sim().now();
-  co_await dev_->memory().use(bytes);
-  trace("memory", sim::Category::kMemory, begin, sim().now(), bytes);
-}
-
 void BlockCtx::record_span(sim::Tracer& t, const char* activity,
                            sim::Category category, sim::Time begin,
                            sim::Time end, double bytes) const {

@@ -44,6 +44,40 @@ struct LaunchConfig {
 
 class Device;
 
+// Awaiter of one compute or memory charge (docs/PERF.md, "Frame-free leaf
+// operations"): suspends the caller on a shared resource until `work` units
+// were served, then records the span on `Lane`'s trace lane. It schedules
+// exactly the events of a plain SharedResource::use and needs no coroutine
+// frame of its own. `Lane` provides sim() and trace(activity, category,
+// begin, end, bytes): a BlockCtx, or a dcuda::Context (whose lane is its
+// block's, or the host-rank band).
+template <typename Lane>
+class [[nodiscard]] Charge {
+ public:
+  Charge(Lane& lane, sim::SharedResource& res, double work,
+         const char* activity, sim::Category category, double bytes = 0.0)
+      : lane_(&lane), res_(&res), work_(work), activity_(activity),
+        bytes_(bytes), category_(category) {}
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    begin_ = lane_->sim().now();
+    res_->use(work_).await_suspend(h);
+  }
+  void await_resume() {
+    lane_->trace(activity_, category_, begin_, lane_->sim().now(), bytes_);
+  }
+
+ private:
+  Lane* lane_;
+  sim::SharedResource* res_;
+  double work_;
+  const char* activity_;
+  double bytes_;
+  sim::Time begin_ = 0.0;
+  sim::Category category_;
+};
+
 // Handle passed to kernel code for one block: issues compute and memory
 // work against the simulated hardware and provides identity information.
 class BlockCtx {
@@ -55,14 +89,15 @@ class BlockCtx {
   int grid_blocks() const { return grid_blocks_; }
   int sm_id() const { return sm_id_; }
   Device& device() { return *dev_; }
-  sim::Simulation& sim();
+  inline sim::Simulation& sim();
 
-  // `flops` double-precision operations on this block's SM.
-  sim::Proc<void> compute_flops(double flops);
+  // Awaitable charges (defined after Device). `flops` double-precision
+  // operations on this block's SM.
+  inline Charge<BlockCtx> compute_flops(double flops);
   // Compute expressed as time at the block's full (dedicated) issue rate.
-  sim::Proc<void> compute(sim::Dur dedicated_time);
+  inline Charge<BlockCtx> compute(sim::Dur dedicated_time);
   // Streams `bytes` through device memory (reads+writes combined).
-  sim::Proc<void> mem_traffic(double bytes);
+  inline Charge<BlockCtx> mem_traffic(double bytes);
 
   // Tracing hook for schedule visualizations (Fig. 1) and the structured
   // observability layer (docs/OBSERVABILITY.md). The enabled-check is
@@ -204,6 +239,22 @@ class Device {
   std::vector<std::shared_ptr<LaunchState>> active_launches_;
   std::vector<std::unique_ptr<std::vector<std::byte>>> allocations_;
 };
+
+inline sim::Simulation& BlockCtx::sim() { return dev_->simulation(); }
+
+inline Charge<BlockCtx> BlockCtx::compute_flops(double flops) {
+  return Charge<BlockCtx>(*this, dev_->sm_compute(sm_id_), flops, "compute",
+                          sim::Category::kCompute);
+}
+
+inline Charge<BlockCtx> BlockCtx::compute(sim::Dur dedicated_time) {
+  return compute_flops(dedicated_time * dev_->per_block_flop_rate());
+}
+
+inline Charge<BlockCtx> BlockCtx::mem_traffic(double bytes) {
+  return Charge<BlockCtx>(*this, dev_->memory(), bytes, "memory",
+                          sim::Category::kMemory, bytes);
+}
 
 inline void BlockCtx::trace(const char* activity, sim::Category category,
                             sim::Time begin, sim::Time end, double bytes) {

@@ -23,8 +23,7 @@ sim::Time PcieLink::serialize(Dir d, double bytes) {
   return end;
 }
 
-sim::Proc<void> PcieLink::post_write(Dir d, double bytes,
-                                     std::function<void()> on_visible) {
+sim::Time PcieLink::visible_at(Dir d, double bytes) {
   const sim::Time done = serialize(d, bytes);
   sim::Time visible = done + cfg_.txn_latency;
   if (sim::Perturbation* pert = sim_.perturbation(); pert != nullptr) {
@@ -37,28 +36,13 @@ sim::Proc<void> PcieLink::post_write(Dir d, double bytes,
     visible = std::max(visible, l.visible_free + sim::Perturbation::kOrderEpsilon);
     l.visible_free = visible;
   }
-  sim_.schedule(visible - sim_.now(), std::move(on_visible));
-  co_await sim_.delay(cfg_.post_cost);
+  return visible;
 }
 
-sim::Proc<void> PcieLink::doorbell(Dir d, double bytes,
-                                   std::function<void()> on_ring) {
-  ++doorbells_;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    // The doorbell span covers flight time: issue to ring at the NIC. The
-    // PCIe lane occupancy itself is traced by serialize() like any write.
-    sim::Tracer* tr = tracer_;
-    const std::int32_t node = trace_node_;
-    const sim::Time begin = sim_.now();
-    sim::Simulation* s = &sim_;
-    on_ring = [tr, node, begin, s, bytes, inner = std::move(on_ring)] {
-      tr->record(sim::TraceSpan{begin, s->now(), node, sim::kNicLane,
-                                "doorbell", sim::Category::kQueue, bytes});
-      tr->bump("doorbell_rings");
-      inner();
-    };
-  }
-  co_await post_write(d, bytes, std::move(on_ring));
+void PcieLink::record_doorbell(sim::Time begin, double bytes) {
+  tracer_->record(sim::TraceSpan{begin, sim_.now(), trace_node_, sim::kNicLane,
+                                 "doorbell", sim::Category::kQueue, bytes});
+  tracer_->bump("doorbell_rings");
 }
 
 sim::Proc<void> PcieLink::mapped_read(Dir d, double bytes) {

@@ -14,7 +14,7 @@
 //    bandwidth; the issuer blocks until completion.
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 
 #include "sim/config.h"
 #include "sim/proc.h"
@@ -32,9 +32,17 @@ class PcieLink {
   PcieLink(const PcieLink&) = delete;
   PcieLink& operator=(const PcieLink&) = delete;
 
-  // Posted mapped write: issuer pays cfg.post_cost, `on_visible` fires at
-  // the far side after serialization + txn latency, in issue order.
-  sim::Proc<void> post_write(Dir d, double bytes, std::function<void()> on_visible);
+  // Posted mapped write: schedules `on_visible` for when the write is
+  // visible at the far side (after serialization + txn latency, in issue
+  // order) and returns the issuer's hold, cfg.post_cost, for the caller to
+  // await (sim::Simulation::hold). `on_visible` is any callable; one of up
+  // to 40 bytes travels in the event slot itself, so the write allocates
+  // nothing (docs/PERF.md, "Frame-free leaf operations").
+  template <typename F>
+  sim::Dur post_write(Dir d, double bytes, F&& on_visible) {
+    sim_.schedule(visible_at(d, bytes) - sim_.now(), std::forward<F>(on_visible));
+    return cfg_.post_cost;
+  }
 
   // Device→NIC doorbell (RuntimeBackend::kDeviceInitiated): a posted mapped
   // write of a command descriptor that rings the NIC's command processor.
@@ -43,7 +51,21 @@ class PcieLink {
   // transaction is counted and traced separately ("doorbell" spans on the
   // NIC lane, docs/OBSERVABILITY.md) so --trace output distinguishes
   // doorbell rings from generic queue writes.
-  sim::Proc<void> doorbell(Dir d, double bytes, std::function<void()> on_ring);
+  template <typename F>
+  sim::Dur doorbell(Dir d, double bytes, F&& on_ring) {
+    ++doorbells_;
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      // The doorbell span covers flight time: issue to ring at the NIC. The
+      // PCIe lane occupancy itself is traced by serialize() like any write.
+      return post_write(d, bytes,
+                        [this, begin = sim_.now(), bytes,
+                         inner = std::forward<F>(on_ring)]() mutable {
+                          record_doorbell(begin, bytes);
+                          inner();
+                        });
+    }
+    return post_write(d, bytes, std::forward<F>(on_ring));
+  }
 
   // Blocking mapped read of `bytes` flowing in direction `d` (the direction
   // the *data* travels); round-trip latency.
@@ -80,6 +102,11 @@ class PcieLink {
   // Reserves the lane for `bytes` and returns the completion time of the
   // serialization (before latency).
   sim::Time serialize(Dir d, double bytes);
+
+  // Serializes a posted write and returns when it becomes visible at the
+  // far side.
+  sim::Time visible_at(Dir d, double bytes);
+  void record_doorbell(sim::Time begin, double bytes);
 
   // Seed-derived extra completion latency for blocking transfers (0 when no
   // perturbation is installed).

@@ -4,10 +4,13 @@ namespace dcuda::queue {
 
 Transport local_transport(sim::Simulation& s) {
   Transport t;
-  t.write = [&s](double, std::function<void()> commit) -> sim::Proc<void> {
-    s.schedule(0.0, std::move(commit));
-    co_return;
+  // Both ends share one memory: the commit is visible at once (one
+  // zero-delay event), and the issuer is not held.
+  t.write = [](void* sim, double, Commit commit) -> sim::Dur {
+    static_cast<sim::Simulation*>(sim)->schedule(0.0, commit);
+    return 0.0;
   };
+  t.ctx = &s;
   t.read_tail = [](double) -> sim::Proc<void> { co_return; };
   return t;
 }

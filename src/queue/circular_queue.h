@@ -31,12 +31,26 @@
 
 namespace dcuda::queue {
 
+// The commit of one posted entry write: makes staged entries of `queue`
+// visible at the receiver. A plain function pointer plus two words — 24
+// bytes, so it travels in the event slot's inline buffer and the posted
+// write allocates nothing (docs/PERF.md, "Frame-free leaf operations").
+struct Commit {
+  void (*fn)(void* queue, std::uint64_t word);
+  void* queue;
+  std::uint64_t word;  // which entries: (first sequence number << 16) | count
+  void operator()() const { fn(queue, word); }
+};
+
 // How enqueue operations reach the receiver's memory. The entry write is
 // posted (issuer continues; `commit` fires when the write is visible at the
 // receiver); the tail read blocks the issuer for a round trip.
 struct Transport {
-  // write(bytes, commit): deliver `bytes` and invoke commit() at visibility.
-  std::function<sim::Proc<void>(double, std::function<void()>)> write;
+  // write(ctx, bytes, commit): posts the entry write of `bytes`, which runs
+  // commit() at visibility, and returns the issuer's hold time (0: the
+  // issuer continues at once, without an event).
+  sim::Dur (*write)(void* ctx, double bytes, Commit commit) = nullptr;
+  void* ctx = nullptr;
   // read_tail(bytes): blocking remote read of the tail pointer.
   std::function<sim::Proc<void>(double)> read_tail;
 };
@@ -109,23 +123,17 @@ class CircularQueue {
     // Stage the entry into its ring slot right away: holding a credit means
     // the receiver already consumed the slot's previous occupant, and the
     // entry stays invisible until the sequence number is committed below.
-    // The commit closure then captures only (this, seq) — small enough for
-    // std::function's inline storage, so the posted write allocates nothing.
     {
       Slot& slot = ring_[static_cast<size_t>((seq - 1) % ring_.size())];
       assert(slot.seq + ring_.size() == seq || slot.seq == 0);
       slot.entry = std::move(e);
     }
     // The posted write carries entry + sequence number in one transaction.
-    co_await transport_.write(
-        sizeof(Entry) + sizeof(std::uint64_t), [this, seq] {
-          Slot& slot = ring_[static_cast<size_t>((seq - 1) % ring_.size())];
-          slot.seq = seq;
-          if (traced()) {
-            tracer_->counter_add(sim_.now(), trace_device_, names_->depth, 1.0);
-          }
-          nonempty_.notify_all();
-        });
+    assert(seq < (1ull << 48) &&
+           "packed commit word reserves 48 bits for the sequence");
+    co_await sim_.hold(transport_.write(transport_.ctx,
+                                        sizeof(Entry) + sizeof(std::uint64_t),
+                                        Commit{&commit, this, (seq << 16) | 1}));
   }
 
   // Batched sender side (the eager path's notification sweep, §III-C spirit:
@@ -164,26 +172,15 @@ class CircularQueue {
       }
       next += chunk;
       // One posted transaction carries every staged entry plus a single
-      // sequence number; the commit closure packs (first_seq, chunk) into
-      // one word so the posted write still allocates nothing.
+      // sequence number; the commit packs (first_seq, chunk) into its one
+      // word.
       assert(first_seq < (1ull << 48) &&
              "packed commit word reserves 48 bits for the sequence");
       const std::uint64_t packed = (first_seq << 16) | chunk;
-      co_await transport_.write(
+      co_await sim_.hold(transport_.write(
+          transport_.ctx,
           static_cast<double>(chunk) * sizeof(Entry) + sizeof(std::uint64_t),
-          [this, packed] {
-            const std::uint64_t first = packed >> 16;
-            const std::uint64_t n = packed & 0xffff;
-            for (std::uint64_t i = 0; i < n; ++i) {
-              ring_[static_cast<size_t>((first + i - 1) % ring_.size())].seq =
-                  first + i;
-            }
-            if (traced()) {
-              tracer_->counter_add(sim_.now(), trace_device_, names_->depth,
-                                   static_cast<double>(n));
-            }
-            nonempty_.notify_all();
-          });
+          Commit{&commit, this, packed}));
     }
   }
 
@@ -229,6 +226,23 @@ class CircularQueue {
     std::uint64_t seq = 0;
     Entry entry{};
   };
+
+  // Commit of `count` entries from `first_seq` on, packed as
+  // (first_seq << 16) | count: their sequence numbers become visible.
+  static void commit(void* q, std::uint64_t packed) {
+    auto& self = *static_cast<CircularQueue*>(q);
+    const std::uint64_t first = packed >> 16;
+    const std::uint64_t n = packed & 0xffff;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      self.ring_[static_cast<size_t>((first + i - 1) % self.ring_.size())].seq =
+          first + i;
+    }
+    if (self.traced()) {
+      self.tracer_->counter_add(self.sim_.now(), self.trace_device_,
+                                self.names_->depth, static_cast<double>(n));
+    }
+    self.nonempty_.notify_all();
+  }
 
   void recompute_credits() {
     credits_ = static_cast<int>(static_cast<std::uint64_t>(capacity()) -

@@ -28,30 +28,45 @@ const queue::TraceNames kNotifQueueNames("notif_queue");
 const queue::TraceNames kLogQueueNames("log_queue");
 }  // namespace
 
-queue::Transport NodeRuntime::pcie_transport(pcie::Dir write_dir) {
-  queue::Transport t;
-  pcie::PcieLink* link = &pcie_;
-  t.write = [link, write_dir](double bytes, std::function<void()> commit) -> sim::Proc<void> {
-    co_await link->post_write(write_dir, bytes, std::move(commit));
-  };
-  const pcie::Dir read_dir = write_dir == pcie::Dir::kHostToDevice
-                                 ? pcie::Dir::kDeviceToHost
-                                 : pcie::Dir::kHostToDevice;
-  t.read_tail = [link, read_dir](double bytes) -> sim::Proc<void> {
+namespace {
+// Posted entry writes of the queue transports: a function pointer per
+// direction and kind, with the link as context, so an enqueue calls the
+// link directly and its commit travels inline in the event slot.
+template <pcie::Dir D>
+sim::Dur post_entry(void* link, double bytes, queue::Commit commit) {
+  return static_cast<pcie::PcieLink*>(link)->post_write(D, bytes, commit);
+}
+
+sim::Dur ring_doorbell(void* link, double bytes, queue::Commit commit) {
+  return static_cast<pcie::PcieLink*>(link)->doorbell(pcie::Dir::kDeviceToHost,
+                                                      bytes, commit);
+}
+
+std::function<sim::Proc<void>(double)> tail_reader(pcie::PcieLink* link,
+                                                    pcie::Dir read_dir) {
+  return [link, read_dir](double bytes) -> sim::Proc<void> {
     co_await link->mapped_read(read_dir, bytes);
   };
+}
+}  // namespace
+
+queue::Transport pcie_transport(pcie::PcieLink& link, pcie::Dir write_dir) {
+  queue::Transport t;
+  t.write = write_dir == pcie::Dir::kHostToDevice
+                ? &post_entry<pcie::Dir::kHostToDevice>
+                : &post_entry<pcie::Dir::kDeviceToHost>;
+  t.ctx = &link;
+  t.read_tail = tail_reader(&link, write_dir == pcie::Dir::kHostToDevice
+                                       ? pcie::Dir::kDeviceToHost
+                                       : pcie::Dir::kHostToDevice);
   return t;
 }
 
-queue::Transport NodeRuntime::doorbell_transport() {
+queue::Transport doorbell_transport(pcie::PcieLink& link) {
   queue::Transport t;
-  pcie::PcieLink* link = &pcie_;
-  t.write = [link](double bytes, std::function<void()> commit) -> sim::Proc<void> {
-    co_await link->doorbell(pcie::Dir::kDeviceToHost, bytes, std::move(commit));
-  };
-  t.read_tail = [link](double bytes) -> sim::Proc<void> {
-    co_await link->mapped_read(pcie::Dir::kHostToDevice, bytes);
-  };
+  t.write = &ring_doorbell;
+  t.ctx = &link;
+  t.read_tail = tail_reader(&link, pcie::Dir::kHostToDevice);
   return t;
 }
 
@@ -78,10 +93,13 @@ NodeRuntime::NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep
     ranks_.push_back(std::make_unique<RankState>(
         s, node() * rpn + r, r,
         host ? queue::local_transport(s)
-             : (device_initiated() ? doorbell_transport()
-                                   : pcie_transport(pcie::Dir::kDeviceToHost)),
-        host ? queue::local_transport(s) : pcie_transport(pcie::Dir::kHostToDevice),
-        host ? queue::local_transport(s) : pcie_transport(pcie::Dir::kHostToDevice),
+             : (device_initiated()
+                    ? doorbell_transport(pcie_)
+                    : pcie_transport(pcie_, pcie::Dir::kDeviceToHost)),
+        host ? queue::local_transport(s)
+             : pcie_transport(pcie_, pcie::Dir::kHostToDevice),
+        host ? queue::local_transport(s)
+             : pcie_transport(pcie_, pcie::Dir::kHostToDevice),
         cfg.runtime));
     if (sim::Tracer* tr = dev.tracer()) {
       // All ranks of the node share the per-device depth counters.
@@ -94,7 +112,8 @@ NodeRuntime::NodeRuntime(sim::Simulation& s, gpu::Device& dev, mpi::Endpoint& ep
             /*daemon=*/true);
   }
   log_q_ = std::make_unique<queue::CircularQueue<LogEntry>>(
-      s, cfg.runtime.logging_queue_entries, pcie_transport(pcie::Dir::kDeviceToHost));
+      s, cfg.runtime.logging_queue_entries,
+      pcie_transport(pcie_, pcie::Dir::kDeviceToHost));
   if (sim::Tracer* tr = dev.tracer()) {
     log_q_->set_tracer(tr, phys_node(), kLogQueueNames);
   }
@@ -128,23 +147,14 @@ void NodeRuntime::device_local_notify(int target_local_rank, Notification n) {
   rs.notif_q.nonempty_trigger().notify_all();
 }
 
-sim::Proc<void> NodeRuntime::host_dispatch_cost() {
-  co_await host_cpu_.acquire();
-  co_await sim_.delay(cfg_.runtime.dispatch_cost);
-  host_cpu_.release();
-}
-
-sim::Proc<void> NodeRuntime::dispatch_cost(bool host_path) {
+NodeRuntime::DispatchPath NodeRuntime::dispatch_path(bool host_path) {
   if (device_initiated() && !host_path) {
     // NIC command processor: FIFO like the host worker (concurrent ships to
     // one target must hit the wire in order), but cheaper per item and not
     // shared with any host-side work.
-    co_await nic_proc_.acquire();
-    co_await sim_.delay(cfg_.runtime.nic_dispatch_cost);
-    nic_proc_.release();
-  } else {
-    co_await host_dispatch_cost();
+    return {&nic_proc_, cfg_.runtime.nic_dispatch_cost};
   }
+  return {&host_cpu_, cfg_.runtime.dispatch_cost};
 }
 
 sim::Proc<void> NodeRuntime::command_loop(int local_rank) {
@@ -153,46 +163,43 @@ sim::Proc<void> NodeRuntime::command_loop(int local_rank) {
   // dispatched command (the loop runs once per device-side operation).
   const std::string proc_name =
       "cmd@" + std::to_string(phys_node()) + "/" + std::to_string(local_rank);
-  const bool host_path = is_host_rank(local_rank);
+  const DispatchPath dp = dispatch_path(is_host_rank(local_rank));
   for (;;) {
-    Command c = co_await rs.cmd_q.dequeue();
-    co_await dispatch_cost(host_path);
-    sim_.spawn(process_command(local_rank, c), proc_name);
+    std::optional<Command> c = rs.cmd_q.try_dequeue();
+    if (!c) {
+      co_await rs.cmd_q.nonempty_trigger().wait();
+      continue;
+    }
+    co_await dp.proc->acquire();
+    co_await sim_.delay(dp.cost);
+    dp.proc->release();
+    sim_.spawn(process_command(local_rank, *c), proc_name);
   }
 }
 
-sim::Proc<void> NodeRuntime::process_command(int local_rank, Command c) {
-  // Round-robin queue polling: the command sits until the worker's sweep
-  // reaches this rank. Spawned per command, so discovery latency pipelines
-  // across commands while per-rank processing order is preserved (spawn
-  // order == resume order). The NIC backend skips the sweep entirely —
-  // doorbells are interrupt-driven (host ranks keep the host worker).
-  if (!device_initiated() || is_host_rank(local_rank)) {
-    co_await sim_.delay(cfg_.runtime.host_wakeup_latency);
-  }
+// Not a coroutine: the spawned process is the handler itself, which first
+// waits out the command's discovery.
+sim::Proc<void> NodeRuntime::process_command(int local_rank, const Command& c) {
   switch (c.kind) {
     case CmdKind::kWinCreate:
-      co_await handle_win_create(local_rank, c);
-      break;
+      return handle_win_create(local_rank, c);
     case CmdKind::kWinFree:
-      co_await handle_win_free(local_rank, c);
-      break;
+      return handle_win_free(local_rank, c);
     case CmdKind::kPut:
-      co_await handle_put(local_rank, c);
-      break;
+      return handle_put(local_rank, c);
     case CmdKind::kGet:
-      co_await handle_get(local_rank, c);
-      break;
+      return handle_get(local_rank, c);
     case CmdKind::kBarrier:
-      co_await handle_barrier(local_rank, c);
-      break;
+      return handle_barrier(local_rank, c);
     case CmdKind::kFinish:
-      co_await handle_finish(local_rank, c);
       break;
   }
+  assert(c.kind == CmdKind::kFinish);
+  return handle_finish(local_rank, c);
 }
 
 sim::Proc<void> NodeRuntime::handle_win_create(int local_rank, Command c) {
+  co_await discovery(local_rank);
   RankState& rs = rank(local_rank);
   const int comm_idx = static_cast<int>(c.comm);
   const std::int32_t gid = global_win_id(
@@ -231,6 +238,7 @@ sim::Proc<void> NodeRuntime::handle_win_create(int local_rank, Command c) {
 }
 
 sim::Proc<void> NodeRuntime::handle_win_free(int local_rank, Command c) {
+  co_await discovery(local_rank);
   RankState& rs = rank(local_rank);
   const std::int32_t gid = rs.global_win(c.win_device_id);
   WindowInfo& wi = windows_.at(gid);
@@ -254,6 +262,7 @@ sim::Proc<void> NodeRuntime::handle_win_free(int local_rank, Command c) {
 }
 
 sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
+  co_await discovery(local_rank);
   RankState& rs = rank(local_rank);
   if (c.local_already_copied) {
     // Shared-memory put: the device library already moved the data; the
@@ -290,7 +299,7 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
       obs->data_put_landed(oracle_rank(rs.global_rank),
                            oracle_rank(c.target_rank));
     }
-    co_await complete_flush(rs, c.flush_id, c.win_device_id);
+    co_await sim_.hold(complete_flush(rs, c.flush_id, c.win_device_id));
     co_return;
   }
 
@@ -384,10 +393,11 @@ sim::Proc<void> NodeRuntime::handle_put(int local_rank, Command c) {
   co_await rm.wait();
   if (rd.valid()) co_await rd.wait();
   // Step 4: free meta info (shared_ptr) and update the device flush counter.
-  co_await complete_flush(rs, c.flush_id, c.win_device_id);
+  co_await sim_.hold(complete_flush(rs, c.flush_id, c.win_device_id));
 }
 
 sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
+  co_await discovery(local_rank);
   RankState& rs = rank(local_rank);
   if (c.local_already_copied) {
     if (c.notify) {
@@ -397,7 +407,7 @@ sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
       n.tag = c.tag;
       co_await push_notification(local_rank, n);
     }
-    co_await complete_flush(rs, c.flush_id, c.win_device_id);
+    co_await sim_.hold(complete_flush(rs, c.flush_id, c.win_device_id));
     co_return;
   }
   const int target_node = c.target_rank / ranks_per_node();
@@ -417,7 +427,7 @@ sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
   mpi::Request rm = ep_.isend(target_node, kMetaTag, gpu::mem_ref(meta_buf.get(), 1));
   co_await rm.wait();
   co_await rr.wait();
-  co_await complete_flush(rs, c.flush_id, c.win_device_id);
+  co_await sim_.hold(complete_flush(rs, c.flush_id, c.win_device_id));
   if (c.notify) {
     // A notified get signals the *origin* once the data arrived.
     Notification n;
@@ -429,10 +439,10 @@ sim::Proc<void> NodeRuntime::handle_get(int local_rank, Command c) {
 }
 
 sim::Proc<void> NodeRuntime::handle_barrier(int local_rank, Command c) {
+  co_await discovery(local_rank);
   // The device communicator covers only the device ranks; the world
   // communicator additionally includes this node's host ranks.
   assert(c.comm == Comm::kWorld || !is_host_rank(local_rank));
-  (void)local_rank;
   const int comm_idx = static_cast<int>(c.comm);
   const int participants = c.comm == Comm::kWorld ? ranks_per_node() : rpd_;
   ++barrier_arrivals_[static_cast<size_t>(comm_idx)];
@@ -447,6 +457,7 @@ sim::Proc<void> NodeRuntime::handle_barrier(int local_rank, Command c) {
 }
 
 sim::Proc<void> NodeRuntime::handle_finish(int local_rank, Command c) {
+  co_await discovery(local_rank);
   RankState& rs = rank(local_rank);
   // Drain: wait until every issued remote memory access completed.
   while (rs.flush_frontier < c.flush_id) co_await rs.host_flush_trig.wait();
@@ -458,6 +469,7 @@ sim::Proc<void> NodeRuntime::handle_finish(int local_rank, Command c) {
 sim::Proc<void> NodeRuntime::meta_loop() {
   Meta m;
   const std::string proc_name = "meta@" + std::to_string(node());
+  const DispatchPath dp = dispatch_path();
   for (;;) {
     co_await ep_.recv(mpi::kAnySource, kMetaTag, gpu::mem_ref(&m, 1));
     // Rendezvous fence: metas travel FIFO per (origin, target) node pair and
@@ -469,7 +481,9 @@ sim::Proc<void> NodeRuntime::meta_loop() {
     if (cfg_.rma.eager_enabled() && m.kind == CmdKind::kPut) {
       rdv_seq = ++rdv_meta_seen_[m.origin_rank];
     }
-    co_await dispatch_cost();
+    co_await dp.proc->acquire();
+    co_await sim_.delay(dp.cost);
+    dp.proc->release();
     sim_.spawn(handle_meta(m, rdv_seq), proc_name);
   }
 }
@@ -629,7 +643,10 @@ sim::Proc<void> NodeRuntime::ship_eager(StagedEager s) {
   // One send call per batch (the reference path pays two MPI calls per
   // put). The dispatch resource — host worker or NIC processor — is FIFO,
   // so concurrent ships to the same target hit the wire in batch_seq order.
-  co_await dispatch_cost();
+  const DispatchPath dp = dispatch_path();
+  co_await dp.proc->acquire();
+  co_await sim_.delay(dp.cost);
+  dp.proc->release();
 
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     obs->eager_batch_flushed(oracle_node(node()), oracle_node(s.target_node),
@@ -650,7 +667,8 @@ sim::Proc<void> NodeRuntime::ship_eager(StagedEager s) {
   // The batch buffered the payload, so origin-side completion is local
   // completion — same semantics as the MPI eager send.
   for (const EagerOrigin& o : s.origins) {
-    co_await complete_flush(rank(o.local_rank), o.flush_id, o.win_device_id);
+    co_await sim_.hold(
+        complete_flush(rank(o.local_rank), o.flush_id, o.win_device_id));
   }
 }
 
@@ -665,10 +683,13 @@ sim::Proc<void> NodeRuntime::eager_loop() {
       binding_.eager_rx != nullptr
           ? *binding_.eager_rx
           : fabric_.rx(phys_node(), net::kRuntimeChannel);
+  const DispatchPath dp = dispatch_path();
   for (;;) {
     net::Packet p = co_await rx.pop();
     EagerBatch b = std::any_cast<EagerBatch>(std::move(p.payload));
-    co_await dispatch_cost();
+    co_await dp.proc->acquire();
+    co_await sim_.delay(dp.cost);
+    dp.proc->release();
     // Processed inline, not spawned: two in-flight batch handlers blocked
     // on a full notification queue could resume out of order and break the
     // FIFO delivery the oracle (and put_2d_notify) relies on.
@@ -756,34 +777,27 @@ void NodeRuntime::mark_rdv_landed(int origin_rank, std::uint64_t seq) {
   if (advanced) rdv_landed_trig_->notify_all();
 }
 
+// Not coroutines themselves: each returns the enqueue (or board delivery)
+// it routes to, so a delivered notification pays for no pass-through frame.
 sim::Proc<void> NodeRuntime::push_notification(int local_rank, Notification n) {
   if (device_initiated() && !is_host_rank(local_rank)) {
     std::vector<Notification> ns;
     ns.push_back(n);
-    co_await board_deliver(local_rank, std::move(ns));
-    co_return;
+    return board_deliver(local_rank, std::move(ns));
   }
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     obs->notification_delivered();
   }
   sim::Tracer* tr = dev_.tracer();
-  if (tr == nullptr || !tr->enabled()) {
-    co_await rank(local_rank).notif_q.enqueue(n);
-    co_return;
-  }
-  const sim::Time begin = sim_.now();
-  co_await rank(local_rank).notif_q.enqueue(n);
-  tr->record(sim::TraceSpan{begin, sim_.now(), phys_node(), sim::kRuntimeLane,
-                            "notify", sim::Category::kNotify, 0.0});
-  tr->bump("notifications_delivered");
+  if (tr == nullptr || !tr->enabled()) return rank(local_rank).notif_q.enqueue(n);
+  return traced_notify(rank(local_rank).notif_q.enqueue(n), 1.0);
 }
 
 sim::Proc<void> NodeRuntime::push_notification_batch(
     int local_rank, std::vector<Notification> ns) {
   assert(!ns.empty());
   if (device_initiated() && !is_host_rank(local_rank)) {
-    co_await board_deliver(local_rank, std::move(ns));
-    co_return;
+    return board_deliver(local_rank, std::move(ns));
   }
   if (sim::InvariantObserver* obs = sim_.invariant_observer(); obs != nullptr) {
     for (std::size_t i = 0; i < ns.size(); ++i) obs->notification_delivered();
@@ -791,11 +805,15 @@ sim::Proc<void> NodeRuntime::push_notification_batch(
   const double n = static_cast<double>(ns.size());
   sim::Tracer* tr = dev_.tracer();
   if (tr == nullptr || !tr->enabled()) {
-    co_await rank(local_rank).notif_q.enqueue_batch(std::move(ns));
-    co_return;
+    return rank(local_rank).notif_q.enqueue_batch(std::move(ns));
   }
+  return traced_notify(rank(local_rank).notif_q.enqueue_batch(std::move(ns)), n);
+}
+
+sim::Proc<void> NodeRuntime::traced_notify(sim::Proc<void> enqueue, double n) {
   const sim::Time begin = sim_.now();
-  co_await rank(local_rank).notif_q.enqueue_batch(std::move(ns));
+  co_await std::move(enqueue);
+  sim::Tracer* tr = dev_.tracer();
   tr->record(sim::TraceSpan{begin, sim_.now(), phys_node(), sim::kRuntimeLane,
                             "notify", sim::Category::kNotify, 0.0});
   tr->bump("notifications_delivered", n);
@@ -818,38 +836,50 @@ sim::Proc<void> NodeRuntime::board_deliver(int local_rank,
   RankState* rs = &rank(local_rank);
   auto payload = std::make_shared<std::vector<Notification>>(std::move(ns));
   sim::Tracer* tr = dev_.tracer();
-  const bool traced = tr != nullptr && tr->enabled();
-  const sim::Time begin = sim_.now();
-  sim::Simulation* s = &sim_;
-  const std::int32_t trace_node = phys_node();
-  auto commit = [rs, payload, tr, traced, begin, s, trace_node, n, bytes] {
+  // A negative begin marks an untraced delivery; the commit then fits the
+  // event slot inline (40 bytes).
+  const sim::Time begin =
+      tr != nullptr && tr->enabled() ? sim_.now() : sim::Time{-1.0};
+  auto commit = [this, rs, payload, begin] {
     for (const Notification& rec : *payload) rs->board.deposit(rec);
     rs->notif_q.nonempty_trigger().notify_all();
-    if (traced) {
-      tr->record(sim::TraceSpan{begin, s->now(), trace_node, sim::kNicLane,
-                                "board_notify", sim::Category::kNotify, bytes});
-      tr->bump("board_notifications", n);
-      tr->bump("notifications_delivered", n);
+    if (begin >= 0.0) {
+      const double count = static_cast<double>(payload->size());
+      sim::Tracer* t = dev_.tracer();
+      t->record(sim::TraceSpan{
+          begin, sim_.now(), phys_node(), sim::kNicLane, "board_notify",
+          sim::Category::kNotify,
+          count * static_cast<double>(sizeof(Notification))});
+      t->bump("board_notifications", count);
+      t->bump("notifications_delivered", count);
     }
   };
-  co_await pcie_.post_write(pcie::Dir::kHostToDevice, bytes, std::move(commit));
+  co_await sim_.hold(
+      pcie_.post_write(pcie::Dir::kHostToDevice, bytes, std::move(commit)));
 }
 
-sim::Proc<void> NodeRuntime::complete_flush(RankState& rs, std::uint64_t id,
-                                            std::int32_t win_device_id) {
-  if (id == 0) co_return;  // operation outside flush tracking
+sim::Dur NodeRuntime::complete_flush(RankState& rs, std::uint64_t id,
+                                     std::int32_t win_device_id) {
+  if (id == 0) return 0.0;  // operation outside flush tracking
   if (sim::Tracer* tr = dev_.tracer(); tr && tr->enabled()) {
     // Mirrors the +1 in the device library's issue path (issue_rma).
     tr->counter_add(sim_.now(), phys_node(), "inflight_rma", -1.0);
   }
-  rs.flush_done_ooo.insert(id);
   bool advanced = false;
-  while (rs.flush_done_ooo.count(rs.flush_frontier + 1) > 0) {
-    rs.flush_done_ooo.erase(rs.flush_frontier + 1);
+  if (id == rs.flush_frontier + 1) {
+    // In order (the common case): advance past it, then past any
+    // successors that completed early, without touching the set for `id`.
     ++rs.flush_frontier;
+    while (!rs.flush_done_ooo.empty() &&
+           *rs.flush_done_ooo.begin() == rs.flush_frontier + 1) {
+      rs.flush_done_ooo.erase(rs.flush_done_ooo.begin());
+      ++rs.flush_frontier;
+    }
     advanced = true;
+    rs.host_flush_trig.notify_all();
+  } else {
+    rs.flush_done_ooo.insert(id);
   }
-  if (advanced) rs.host_flush_trig.notify_all();
 
   // One posted write carries both the per-window completion count (the
   // paper's window flush) and, when it advanced, the contiguous frontier.
@@ -865,16 +895,18 @@ sim::Proc<void> NodeRuntime::complete_flush(RankState& rs, std::uint64_t id,
   };
   if (is_host_rank(rs.local_rank)) {
     apply();  // host-rank state: no PCIe crossing
-    co_return;
+    return 0.0;
   }
-  co_await pcie_.post_write(pcie::Dir::kHostToDevice, 2 * sizeof(std::uint64_t),
-                            std::move(apply));
+  return pcie_.post_write(pcie::Dir::kHostToDevice, 2 * sizeof(std::uint64_t),
+                          apply);
 }
 
 sim::Proc<void> NodeRuntime::log_loop() {
   for (;;) {
     LogEntry e = co_await log_q_->dequeue();
-    co_await host_dispatch_cost();
+    co_await host_cpu_.acquire();
+    co_await sim_.delay(cfg_.runtime.dispatch_cost);
+    host_cpu_.release();
     log_lines_.push_back("rank " + std::to_string(e.rank) + ": " +
                          std::string(e.text) + " " + std::to_string(e.value));
   }

@@ -115,6 +115,14 @@ struct RankState {
   std::unordered_map<int, std::uint64_t> rdv_issued;
 };
 
+// Queue transport over a PCIe link: entry writes are posted writes in
+// `write_dir`, tail reads are mapped reads the other way.
+queue::Transport pcie_transport(pcie::PcieLink& link, pcie::Dir write_dir);
+// Command-queue transport of the kDeviceInitiated backend: entry writes
+// ring the NIC doorbell (pcie::PcieLink::doorbell) instead of landing in
+// host memory. Same posted-write timing and ordering as pcie_transport.
+queue::Transport doorbell_transport(pcie::PcieLink& link);
+
 // Job-scoped runtime identity (cluster::Scheduler, docs/CLUSTER.md). The
 // default binding is the single-tenant identity: node index == physical
 // node, tag 0, fabric-owned rx — byte-identical to the historical layout.
@@ -241,15 +249,31 @@ class NodeRuntime {
   sim::Proc<void> meta_loop();
   sim::Proc<void> log_loop();
   sim::Proc<void> eager_loop();
-  sim::Proc<void> host_dispatch_cost();
   // Backend-routed dispatch: the host worker (dispatch_cost, shared
   // host_cpu_ slot) under kHostLoop, the NIC command processor
   // (nic_dispatch_cost, nic_proc_) under kDeviceInitiated. Host-rank
   // commands always take the host worker — host ranks run on the CPU and
-  // their runtime agent stays the host loop in both backends.
-  sim::Proc<void> dispatch_cost(bool host_path = false);
+  // their runtime agent stays the host loop in both backends. The loops
+  // acquire `proc`, hold it for `cost` and release it inline.
+  struct DispatchPath {
+    sim::FifoResource* proc;
+    sim::Dur cost;
+  };
+  DispatchPath dispatch_path(bool host_path = false);
 
-  sim::Proc<void> process_command(int local_rank, Command c);
+  // Awaitable, first step of every command handler. Round-robin queue
+  // polling: a command sits until the host worker's sweep reaches its rank
+  // (host_wakeup_latency). Handlers are spawned per command, so discovery
+  // latency pipelines across commands while per-rank processing order is
+  // preserved (spawn order == resume order). The NIC backend skips the
+  // sweep entirely — doorbells are interrupt-driven (host ranks keep the
+  // host worker) — and then the handler goes on without an event.
+  sim::Simulation::Sleep discovery(int local_rank) {
+    if (device_initiated() && !is_host_rank(local_rank)) return sim_.hold(0.0);
+    return sim_.delay(cfg_.runtime.host_wakeup_latency);
+  }
+  // The handler of command `c`.
+  sim::Proc<void> process_command(int local_rank, const Command& c);
   sim::Proc<void> handle_win_create(int local_rank, Command c);
   sim::Proc<void> handle_win_free(int local_rank, Command c);
   sim::Proc<void> handle_put(int local_rank, Command c);
@@ -270,20 +294,18 @@ class NodeRuntime {
   // device through a single enqueue_batch commit.
   sim::Proc<void> push_notification_batch(int local_rank,
                                           std::vector<Notification> ns);
+  // Runs a notification enqueue inside the runtime lane's "notify" span
+  // (tracing on only).
+  sim::Proc<void> traced_notify(sim::Proc<void> enqueue, double n);
   // kDeviceInitiated delivery for device ranks: the NIC writes the
   // notification records straight into the rank's on-device board with one
   // posted PCIe write — no host queue bookkeeping, no credits.
   sim::Proc<void> board_deliver(int local_rank, std::vector<Notification> ns);
   // Marks flush id `id` complete for the rank and propagates the contiguous
-  // frontier to device memory.
-  sim::Proc<void> complete_flush(RankState& rs, std::uint64_t id,
-                                 std::int32_t win_device_id);
-
-  queue::Transport pcie_transport(pcie::Dir write_dir);
-  // Command-queue transport of the kDeviceInitiated backend: entry writes
-  // ring the NIC doorbell (pcie::PcieLink::doorbell) instead of landing in
-  // host memory. Same posted-write timing and ordering as pcie_transport.
-  queue::Transport doorbell_transport();
+  // frontier to device memory with a posted write. Returns the issuer's
+  // hold (sim::Simulation::hold; 0 when nothing crossed PCIe).
+  sim::Dur complete_flush(RankState& rs, std::uint64_t id,
+                          std::int32_t win_device_id);
 
   sim::Simulation& sim_;
   gpu::Device& dev_;

@@ -26,9 +26,10 @@ struct PromiseBase {
   std::coroutine_handle<> continuation;  // parent awaiting this coroutine
   std::exception_ptr exception;
   // Set by Simulation::spawn for root coroutines; invoked with
-  // on_final_arg at final suspend. A plain function pointer, so spawning a
-  // process allocates no closure.
-  void (*on_final)(void*) = nullptr;
+  // on_final_arg and this promise at final suspend, before a detached frame
+  // is destroyed, so it can take the process's exception. A plain function
+  // pointer, so spawning a process allocates no closure.
+  void (*on_final)(void*, PromiseBase&) = nullptr;
   void* on_final_arg = nullptr;
   bool detached = false;  // frame self-destroys at final suspend
 
@@ -40,7 +41,7 @@ struct PromiseBase {
     std::coroutine_handle<> await_suspend(std::coroutine_handle<P> h) noexcept {
       PromiseBase& p = h.promise();
       if (p.continuation) return p.continuation;
-      if (p.on_final) p.on_final(p.on_final_arg);
+      if (p.on_final) p.on_final(p.on_final_arg, p);
       if (p.detached) h.destroy();
       return std::noop_coroutine();
     }

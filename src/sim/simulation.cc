@@ -9,16 +9,6 @@ namespace dcuda::sim {
 
 namespace {
 
-// Wraps a user process so that exceptions are captured into the join state
-// instead of escaping through final_suspend (which would lose them).
-Proc<void> root_runner(Proc<void> inner, std::shared_ptr<JoinHandle::State> st) {
-  try {
-    co_await std::move(inner);
-  } catch (...) {
-    st->exception = std::current_exception();
-  }
-}
-
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -349,12 +339,13 @@ JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
   st->sim = this;
   st->home_shard = home.index;
 
-  Proc<void> runner = root_runner(std::move(p), st);
-  auto h = runner.release();
+  // The process runs as the root itself: no wrapper frame. The registry
+  // below holds the state until the completion hook marked it done, so the
+  // state can serve as the hook's argument.
+  auto h = p.release();
+  assert(h && "spawning an empty Proc");
   h.promise().detached = true;
   st->frame = h;
-  // root_runner holds its own shared_ptr to the state, which outlives
-  // final_suspend, so the state can serve as the completion hook's argument.
   h.promise().on_final = &Simulation::finish_root;
   h.promise().on_final_arg = st.get();
   auto& registry = daemon ? home.daemons : home.live;
@@ -375,8 +366,10 @@ JoinHandle Simulation::spawn(Proc<void> p, std::string name, bool daemon) {
 // Completion hook of a root process. Updates the spawning shard's registry
 // counters — processes that finish do so on their home shard (the affinity
 // asserts enforce this for multi-threaded windows).
-void Simulation::finish_root(void* state) {
+void Simulation::finish_root(void* state, detail::PromiseBase& p) {
   auto* st = static_cast<JoinHandle::State*>(state);
+  // The frame is destroyed right after this hook: keep its exception.
+  st->exception = p.exception;
   Shard& home = *st->sim->shards_[static_cast<size_t>(st->home_shard)];
   st->done = true;
   st->frame = nullptr;

@@ -159,7 +159,7 @@ class JoinHandle {
   const std::string& name() const;
   Proc<void> join();
 
-  struct State;  // public: Simulation and the root runner manipulate it
+  struct State;  // public: Simulation and its completion hook manipulate it
 
  private:
   friend class Simulation;
@@ -323,17 +323,24 @@ class Simulation {
     return spawn(std::move(p), std::move(name), daemon);
   }
 
+  // Awaiter of delay() and hold(): suspends the calling process for `d`
+  // simulated time, or not at all (no event) when `skip` is set.
+  struct Sleep {
+    Simulation& sim;
+    Dur d;
+    bool skip;
+    bool await_ready() const noexcept { return skip; }
+    void await_suspend(std::coroutine_handle<> h) { sim.schedule_resume(h, d); }
+    void await_resume() const noexcept {}
+  };
+
   // Awaitable: suspend the calling process for `delay` simulated time.
-  auto delay(Dur d) {
-    struct Awaiter {
-      Simulation& sim;
-      Dur d;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { sim.schedule_resume(h, d); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, d};
-  }
+  Sleep delay(Dur d) { return Sleep{*this, d, false}; }
+
+  // Awaitable: the issuer's hold after a posted operation (a posted PCIe
+  // write's post cost, a queue entry write). Like delay(d), except that a
+  // zero hold completes inline and schedules no event.
+  Sleep hold(Dur d) { return Sleep{*this, d, d == 0.0}; }
 
   // -- Running ---------------------------------------------------------
 
@@ -701,7 +708,8 @@ class Simulation {
   void sync_clocks(Time at_least);
   void check_deadlock() const;
   void rethrow_pending();
-  static void finish_root(void* state);  // PromiseBase::on_final of roots
+  // PromiseBase::on_final of roots.
+  static void finish_root(void* state, detail::PromiseBase& p);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   Time global_now_ = 0.0;

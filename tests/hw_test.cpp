@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "net/fabric.h"
@@ -32,8 +33,8 @@ TEST(Pcie, PostedWriteVisibleAfterLatency) {
   pcie::PcieLink link(s, pcie_cfg());
   sim::Time visible = -1;
   auto writer = [&]() -> Proc<void> {
-    co_await link.post_write(pcie::Dir::kHostToDevice, 100.0,
-                             [&] { visible = s.now(); });
+    co_await s.hold(link.post_write(pcie::Dir::kHostToDevice, 100.0,
+                                    [&] { visible = s.now(); }));
   };
   auto h = s.spawn(writer(), "w");
   s.run();
@@ -47,7 +48,7 @@ TEST(Pcie, PostedWriterContinuesAfterPostCost) {
   pcie::PcieLink link(s, pcie_cfg());
   sim::Time writer_done = -1;
   auto writer = [&]() -> Proc<void> {
-    co_await link.post_write(pcie::Dir::kHostToDevice, 100.0, [] {});
+    co_await s.hold(link.post_write(pcie::Dir::kHostToDevice, 100.0, [] {}));
     writer_done = s.now();
   };
   s.spawn(writer(), "w");
@@ -60,10 +61,10 @@ TEST(Pcie, PostedWritesCommitInOrder) {
   pcie::PcieLink link(s, pcie_cfg());
   std::vector<int> commits;
   auto writer = [&]() -> Proc<void> {
-    co_await link.post_write(pcie::Dir::kHostToDevice, 1e5,
-                             [&] { commits.push_back(1); });
-    co_await link.post_write(pcie::Dir::kHostToDevice, 10.0,
-                             [&] { commits.push_back(2); });
+    co_await s.hold(link.post_write(pcie::Dir::kHostToDevice, 1e5,
+                                    [&] { commits.push_back(1); }));
+    co_await s.hold(link.post_write(pcie::Dir::kHostToDevice, 10.0,
+                                    [&] { commits.push_back(2); }));
   };
   s.spawn(writer(), "w");
   s.run();
@@ -120,13 +121,50 @@ TEST(Pcie, CountsTransactions) {
   pcie::PcieLink link(s, pcie_cfg());
   auto w = [&]() -> Proc<void> {
     for (int i = 0; i < 5; ++i) {
-      co_await link.post_write(pcie::Dir::kHostToDevice, 32.0, [] {});
+      co_await s.hold(link.post_write(pcie::Dir::kHostToDevice, 32.0, [] {}));
     }
   };
   s.spawn(w(), "w");
   s.run();
   EXPECT_EQ(link.transactions(pcie::Dir::kHostToDevice), 5u);
   EXPECT_EQ(link.transactions(pcie::Dir::kDeviceToHost), 0u);
+}
+
+// A commit that fills the event slot's inline buffer exactly.
+struct Commit40 {
+  std::vector<int>* out;
+  std::uint64_t id;
+  std::uint64_t pad[3];
+  void operator()() const { out->push_back(static_cast<int>(id)); }
+};
+static_assert(sizeof(Commit40) == 40);
+
+TEST(Pcie, InlineCommitsUnderPerturbationCommitInIssueOrder) {
+  Simulation s;
+  s.set_perturbation(0x5eed);  // completion jitter on every posted write
+  pcie::PcieLink link(s, pcie_cfg());
+  std::vector<int> seen;
+  auto writer = [&]() -> Proc<void> {
+    for (int i = 0; i < 64; ++i) {
+      // Mixed sizes: a short write may finish serializing long before the
+      // jittered visibility of the long one ahead of it.
+      const double bytes = i % 3 == 0 ? 1e4 : 16.0;
+      if (i % 2 == 0) {
+        co_await s.hold(link.post_write(
+            pcie::Dir::kHostToDevice, bytes,
+            Commit40{&seen, static_cast<std::uint64_t>(i), {}}));
+      } else {
+        co_await s.hold(link.post_write(pcie::Dir::kHostToDevice, bytes,
+                                        [&seen, i] { seen.push_back(i); }));
+      }
+    }
+  };
+  s.spawn(writer(), "w");
+  s.run();
+  std::vector<int> expect(64);
+  for (int i = 0; i < 64; ++i) expect[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(seen, expect);
+  EXPECT_EQ(s.pool_stats().heap_fallbacks, 0u);
 }
 
 sim::NetConfig net_cfg() {
